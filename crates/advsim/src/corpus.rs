@@ -8,13 +8,14 @@
 //! change the encoded hypervector. The `ADVC1` text format therefore
 //! stores every feature as the hexadecimal of its [`f64::to_bits`], and
 //! [`DisagreementCorpus::replay`] checks the round trip all the way down:
-//! fast and reference encoders must produce identical hypervectors, the
+//! the fast encoder and its scalar oracle
+//! ([`RecordEncoder::encode_reference`]) must produce identical
+//! hypervectors, the
 //! batched engine must match sequential scoring to the bit
 //! ([`f64::to_bits`] on confidence and margin), and every variant must
 //! reproduce its recorded verdict.
 
-use robusthd::encoding::Encoder;
-use robusthd::{BatchEngine, Confidence, TrainedModel};
+use robusthd::{BatchEngine, Confidence, RecordEncoder, TrainedModel};
 use std::error::Error;
 use std::fmt;
 
@@ -217,20 +218,19 @@ impl DisagreementCorpus {
         Ok(corpus)
     }
 
-    /// Replays every case against live models and both encoder paths,
-    /// counting exactness violations (see the module docs). `variants`
-    /// must match the corpus's recorded variant order; `fast` and
-    /// `reference` must be the same encoder pinned to its two execution
-    /// paths.
+    /// Replays every case against live models and both of `encoder`'s
+    /// paths (the engine's fast encode and the scalar
+    /// [`RecordEncoder::encode_reference`]), counting exactness violations
+    /// (see the module docs). `variants` must match the corpus's recorded
+    /// variant order.
     ///
     /// # Panics
     ///
     /// Panics if `variants` names differ from the corpus's.
-    pub fn replay<E: Encoder + Sync + ?Sized, F: Encoder + Sync + ?Sized>(
+    pub fn replay(
         &self,
         engine: &BatchEngine,
-        fast: &E,
-        reference: &F,
+        encoder: &RecordEncoder,
         variants: &[(&str, &TrainedModel)],
         beta: f64,
     ) -> ReplayReport {
@@ -247,8 +247,8 @@ impl DisagreementCorpus {
         };
         for case in &self.cases {
             let row: &[f64] = &case.row;
-            let fast_hv = engine.encode_batch(fast, &[row]).remove(0);
-            let reference_hv = reference.encode(row);
+            let fast_hv = engine.encode_batch(encoder, &[row]).remove(0);
+            let reference_hv = encoder.encode_reference(row);
             if fast_hv != reference_hv {
                 report.encode_mismatches += 1;
             }

@@ -10,8 +10,7 @@
 use advsim::{DisagreementCorpus, DisagreementHunter, HuntBudget};
 use faultsim::Attacker;
 use robusthd::{
-    AdvConfig, BatchConfig, BatchEngine, EncodeConfig, Encoder, HdcConfig, RecordEncoder,
-    TrainedModel,
+    AdvConfig, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, TrainedModel,
 };
 
 fn engine(threads: usize) -> BatchEngine {
@@ -91,11 +90,8 @@ fn persisted_corpus_replays_bit_identically() {
     let parsed = DisagreementCorpus::from_text(&corpus.to_text()).expect("well-formed");
     assert_eq!(parsed, corpus, "text round trip must be lossless");
 
-    let fast = RecordEncoder::with_encode_config(&f.config, 6, EncodeConfig::fast());
-    let reference = RecordEncoder::with_encode_config(&f.config, 6, EncodeConfig::reference());
-    assert!(fast.fast_path() && !reference.fast_path());
     for threads in [1usize, 4] {
-        let report = parsed.replay(&engine(threads), &fast, &reference, &variants, beta);
+        let report = parsed.replay(&engine(threads), &f.encoder, &variants, beta);
         assert_eq!(report.cases, corpus.cases.len());
         assert!(
             report.is_clean(),
@@ -116,9 +112,8 @@ fn recorded_verdicts_hold_on_the_reference_path() {
         DisagreementHunter::new(HuntBudget::new(6, 12).with_feature_step(0.15).with_seed(11));
     let corpus = hunter.hunt(&engine(2), &f.encoder, &variants, &f.rows, beta);
     assert!(!corpus.cases.is_empty(), "hunt came up empty");
-    let reference = RecordEncoder::with_encode_config(&f.config, 6, EncodeConfig::reference());
     for case in &corpus.cases {
-        let hv = reference.encode(&case.row);
+        let hv = f.encoder.encode_reference(&case.row);
         assert_eq!(f.one_shot.predict(&hv), case.verdicts[0]);
         assert_eq!(f.attacked.predict(&hv), case.verdicts[1]);
         assert_ne!(case.verdicts[0], case.verdicts[1], "not a disagreement");

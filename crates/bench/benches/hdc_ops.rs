@@ -43,15 +43,13 @@ fn setup(
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdc_encode");
     for dim in [4_096usize, 10_000] {
-        let (mut encoder, _, _) = setup(dim);
+        let (encoder, _, _) = setup(dim);
         let features = vec![0.42; 561];
-        encoder.set_fast_path(true);
         group.bench_with_input(BenchmarkId::new("fast", dim), &dim, |b, _| {
             b.iter(|| encoder.encode(black_box(&features)))
         });
-        encoder.set_fast_path(false);
         group.bench_with_input(BenchmarkId::new("reference", dim), &dim, |b, _| {
-            b.iter(|| encoder.encode(black_box(&features)))
+            b.iter(|| encoder.encode_reference(black_box(&features)))
         });
     }
     group.finish();

@@ -27,7 +27,7 @@ use ::advsim::{
 };
 use faultsim::{Attacker, ErrorRateSchedule};
 use robusthd::supervisor::ResilienceSupervisor;
-use robusthd::{BatchEngine, EncodeConfig, RecordEncoder, SupervisorConfig, TrainedModel};
+use robusthd::{BatchEngine, SupervisorConfig, TrainedModel};
 use std::fmt::Write as _;
 use synthdata::DatasetSpec;
 
@@ -168,10 +168,7 @@ pub fn run(
     // Replay the corpus through both encoder paths before reporting it:
     // an artifact that does not reproduce bit-exactly is a harness bug,
     // not a finding.
-    let fast = RecordEncoder::with_encode_config(&w.config, features, EncodeConfig::fast());
-    let reference =
-        RecordEncoder::with_encode_config(&w.config, features, EncodeConfig::reference());
-    let replay = corpus.replay(&engine, &fast, &reference, &variants, beta);
+    let replay = corpus.replay(&engine, &w.encoder, &variants, beta);
     assert!(replay.is_clean(), "corpus replay not bit-exact: {replay:?}");
 
     // 3. Joint memory + input attack soak through the closed loop.

@@ -24,6 +24,16 @@ fn scale_from_args() -> Scale {
 
 fn main() {
     let scale = scale_from_args();
+    // Operand traffic per timed pass: milliseconds per repeat at Standard
+    // scale and above; at Quick scale correctness, not a stable rate, is
+    // the point.
+    let pass_bytes = match scale {
+        Scale::Quick => 1 << 20,
+        Scale::Standard => 256 << 20,
+        Scale::Full => 1 << 30,
+    };
+    let spec = DatasetSpec::ucihar();
+    let (_, queries) = scale.sizes(&spec);
     println!("Execution-tier kernel throughput (D=8192, 12 classes, best of 3)");
     println!("(every kernel cross-checked bit-exact across tiers before timing)\n");
     let widths = [16usize, 12, 13, 13, 9];
@@ -31,7 +41,7 @@ fn main() {
         &["kernel", "MiB/pass", "ref GiB/s", "wide GiB/s", "speedup"],
         &widths,
     );
-    let o = kernelbench::run(&DatasetSpec::ucihar(), scale, 8192, 12, 1, 3);
+    let o = kernelbench::run(&spec, 8192, queries, 1, 3, pass_bytes);
     for row in &o.rows {
         print_row(
             &[
@@ -51,7 +61,7 @@ fn main() {
     );
     println!(
         "end-to-end predict: {:.0} q/s through the '{}' tier at {} thread(s)",
-        o.predict_qps, o.active_tier, o.threads
+        o.predict_qps, o.kernel_tier, o.threads
     );
     println!();
     println!("json: {}", o.to_json());

@@ -24,7 +24,8 @@ fn main() {
     let scale = scale_from_args();
     let threads = [1usize, 2, 4, 8];
     println!("Serving throughput by phase (D=4096, shard=32, best of 3)");
-    println!("(encoder and predictions cross-checked bit-exact against the reference path)\n");
+    println!("(encoder and predictions cross-checked bit-exact against the reference path;");
+    println!(" the `ref` row times the scalar reference encoder)\n");
     let widths = [10usize, 9, 12, 12, 14, 9];
     print_header(
         &[
@@ -39,7 +40,8 @@ fn main() {
     );
     let mut json_lines = Vec::new();
     for spec in DatasetSpec::all() {
-        let o = throughput::run(&spec, scale, 4096, 1, &threads, 32, 3);
+        let (_, queries) = scale.sizes(&spec);
+        let o = throughput::run(&spec, queries, 4096, 1, &threads, 32, 3);
         for row in &o.rows {
             print_row(
                 &[
@@ -53,6 +55,17 @@ fn main() {
                 &widths,
             );
         }
+        print_row(
+            &[
+                o.name.clone(),
+                "ref".to_owned(),
+                format!("{:.0}", o.reference_encode_qps),
+                "-".to_owned(),
+                "-".to_owned(),
+                "-".to_owned(),
+            ],
+            &widths,
+        );
         json_lines.push(o.to_json());
     }
     println!();

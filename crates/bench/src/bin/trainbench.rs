@@ -24,7 +24,8 @@ fn main() {
     let scale = scale_from_args();
     let threads = [1usize, 2, 4, 8];
     println!("Training throughput by phase (D=4096, 2 retrain epochs, shard=32, best of 3)");
-    println!("(fast path cross-checked bit-exact against the scalar reference, counts included)\n");
+    println!("(fast path cross-checked bit-exact against the scalar reference, counts included;");
+    println!(" the `ref` row times that reference trainer)\n");
     let widths = [10usize, 9, 12, 12, 13, 9];
     print_header(
         &[
@@ -39,12 +40,14 @@ fn main() {
     );
     let mut json_lines = Vec::new();
     for spec in DatasetSpec::all() {
-        let o = trainbench::run(&spec, scale, 4096, 1, 2, &threads, 32, 3);
-        for row in &o.rows {
+        let (samples, _) = scale.sizes(&spec);
+        let o = trainbench::run(&spec, samples, 4096, 1, 2, &threads, 32, 3);
+        let labelled = o.rows.iter().map(|r| (r.threads.to_string(), r));
+        for (label, row) in labelled.chain([("ref".to_owned(), &o.reference)]) {
             print_row(
                 &[
                     o.name.clone(),
-                    row.threads.to_string(),
+                    label,
                     format!("{:.0}", row.bundle_qps),
                     format!("{:.0}", row.retrain_qps),
                     format!("{:.4}", row.fit_seconds),

@@ -12,7 +12,8 @@
 //! and similarity floats down to `f64::to_bits` — and the sweep panics
 //! rather than report throughput for a divergent kernel.
 
-use crate::workload::{EncodedWorkload, Scale};
+use crate::timing::best_seconds;
+use crate::workload::EncodedWorkload;
 use hypervector::random::HypervectorSampler;
 use hypervector::similarity::{chunked_hamming, PackedClasses};
 use hypervector::tier::{self, KernelTier};
@@ -20,7 +21,6 @@ use hypervector::BinaryHypervector;
 use robusthd::BatchEngine;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 const BYTES_PER_WORD: usize = 8;
@@ -71,8 +71,10 @@ pub struct KernelBenchOutcome {
     pub queries: usize,
     /// Timed repetitions per kernel per tier (best wins).
     pub repeats: usize,
+    /// Operand and workload seed.
+    pub seed: u64,
     /// The process-wide installed tier (what `ROBUSTHD_KERNEL_TIER` chose).
-    pub active_tier: String,
+    pub kernel_tier: String,
     /// Batch-engine worker threads for the end-to-end row.
     pub threads: usize,
     /// One row per kernel family.
@@ -93,14 +95,15 @@ impl KernelBenchOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"classes\": {}, \"queries\": {}, \
-             \"repeats\": {}, \"active_tier\": \"{}\", \"threads\": {}, \
+             \"repeats\": {}, \"seed\": {}, \"kernel_tier\": \"{}\", \"threads\": {}, \
              \"bit_exact\": true, \"kernels\": [",
             self.name,
             self.dim,
             self.classes,
             self.queries,
             self.repeats,
-            self.active_tier,
+            self.seed,
+            self.kernel_tier,
             self.threads
         );
         for (i, row) in self.rows.iter().enumerate() {
@@ -126,19 +129,6 @@ impl KernelBenchOutcome {
         );
         out
     }
-}
-
-/// Best wall-clock seconds of `f` over `repeats` runs.
-fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
-    }
-    best
 }
 
 /// The synthetic operand set every kernel row runs against.
@@ -296,10 +286,12 @@ fn row(
 
 /// Runs the kernel sweep on one dataset geometry.
 ///
-/// `dim` and `classes` size the synthetic operand set for the per-kernel
-/// rows; the end-to-end row scores the dataset's encoded test split through
-/// a [`BatchEngine::from_env`] engine (which installs the process-wide
-/// kernel tier from `ROBUSTHD_KERNEL_TIER` and reads `ROBUSTHD_THREADS`).
+/// `dim` and the dataset's class count size the synthetic operand set for
+/// the per-kernel rows, each timed pass moving about `pass_bytes` of
+/// operand traffic; the end-to-end row scores `queries` encoded test rows
+/// of the dataset through a [`BatchEngine::from_env`] engine (which
+/// installs the process-wide kernel tier from `ROBUSTHD_KERNEL_TIER` and
+/// reads `ROBUSTHD_THREADS`).
 ///
 /// # Panics
 ///
@@ -307,31 +299,24 @@ fn row(
 /// the sweep refuses to report throughput for a non-bit-exact kernel.
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
     dim: usize,
-    classes: usize,
+    queries: usize,
     seed: u64,
     repeats: usize,
+    pass_bytes: usize,
 ) -> KernelBenchOutcome {
-    assert!(classes > 0 && repeats > 0, "tuning must be positive");
+    assert!(repeats > 0 && pass_bytes > 0, "tuning must be positive");
+    let classes = spec.classes;
     let engine = BatchEngine::from_env();
     let ops = Operands::build(dim, classes, seed);
     cross_check(&ops, dim);
 
     let words = ops.words;
-    // Target roughly this much operand traffic per timed pass so each
-    // repeat is milliseconds, not nanoseconds (and stays fast at Quick
-    // scale, where correctness — not a stable rate — is the point).
-    let target_bytes: usize = match scale {
-        Scale::Quick => 1 << 20,
-        Scale::Standard => 256 << 20,
-        Scale::Full => 1 << 30,
-    };
     let mut rows = Vec::new();
 
     // Pairwise XOR+popcount distance.
     let pair_bytes = 2 * words * BYTES_PER_WORD;
-    let sweeps = (target_bytes / (pair_bytes * ops.pairs.len())).max(1);
+    let sweeps = (pass_bytes / (pair_bytes * ops.pairs.len())).max(1);
     rows.push(row(
         "hamming",
         sweeps * ops.pairs.len() * pair_bytes,
@@ -378,7 +363,7 @@ pub fn run(
 
     // Class-major scoring: the serving hot loop.
     let score_bytes = (classes + 1) * words * BYTES_PER_WORD;
-    let score_sweeps = (target_bytes / (score_bytes * ops.queries.len())).max(1);
+    let score_sweeps = (pass_bytes / (score_bytes * ops.queries.len())).max(1);
     let mut scratch = Vec::with_capacity(classes);
     rows.push(row(
         "hamming_all",
@@ -405,7 +390,7 @@ pub fn run(
 
     // Carry-save majority ripple: bundle the query pool into bit-planes.
     let bundle_bytes = ops.queries.len() * words * BYTES_PER_WORD;
-    let bundle_sweeps = (target_bytes / (4 * bundle_bytes)).max(1);
+    let bundle_sweeps = (pass_bytes / (4 * bundle_bytes)).max(1);
     rows.push(row(
         "majority_ripple",
         bundle_sweeps * bundle_bytes,
@@ -429,7 +414,7 @@ pub fn run(
         tier::ripple_add(KernelTier::Reference, &mut planes, hv.bits().words());
     }
     let plane_bytes = planes.len() * words * BYTES_PER_WORD;
-    let bip_sweeps = (target_bytes / (8 * plane_bytes)).max(1);
+    let bip_sweeps = (pass_bytes / (8 * plane_bytes)).max(1);
     let added = ops.queries.len() as i64;
     let mut counts = vec![0i64; dim];
     rows.push(row(
@@ -447,7 +432,7 @@ pub fn run(
     ));
     let half = ops.queries.len() as u64 / 2;
     let mut thr = vec![0u64; words];
-    let thr_sweeps = (target_bytes / plane_bytes).max(1);
+    let thr_sweeps = (pass_bytes / plane_bytes).max(1);
     rows.push(row("threshold", thr_sweeps * plane_bytes, repeats, |t| {
         let mut acc = 0u64;
         for _ in 0..thr_sweeps {
@@ -459,7 +444,7 @@ pub fn run(
 
     // Bound-pair codebook XOR.
     let xor_bytes = 3 * words * BYTES_PER_WORD;
-    let xor_sweeps = (target_bytes / (xor_bytes * ops.pairs.len())).max(1);
+    let xor_sweeps = (pass_bytes / (xor_bytes * ops.pairs.len())).max(1);
     let mut bound = vec![0u64; words];
     rows.push(row(
         "codebook_xor",
@@ -485,7 +470,7 @@ pub fn run(
     // End-to-end: batch scoring of the dataset's encoded test split through
     // the installed tier. Cross-checked against the reference tier's
     // per-query argmin before timing.
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
+    let workload = EncodedWorkload::for_queries(spec, queries, dim, seed);
     let queries = &workload.test_encoded;
     let model = &workload.model;
     let batched = engine.predict_batch(model, queries);
@@ -517,7 +502,8 @@ pub fn run(
         classes,
         queries: queries.len(),
         repeats,
-        active_tier: tier::active().name().to_string(),
+        seed,
+        kernel_tier: tier::active().name().to_string(),
         threads: engine.config().threads,
         rows,
         scoring_speedup,
@@ -531,7 +517,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_kernel_family() {
-        let o = run(&DatasetSpec::pecan(), Scale::Quick, 1024, 8, 3, 1);
+        let o = run(&DatasetSpec::pecan(), 1024, 40, 3, 1, 1 << 20);
         let kernels: Vec<&str> = o.rows.iter().map(|r| r.kernel.as_str()).collect();
         assert_eq!(
             kernels,
@@ -561,8 +547,8 @@ mod tests {
         );
         assert!(o.scoring_speedup > 0.0);
         assert!(o.predict_qps > 0.0);
-        assert!(o.queries > 0);
-        assert!(!o.active_tier.is_empty());
+        assert_eq!(o.queries, 40);
+        assert!(!o.kernel_tier.is_empty());
     }
 
     #[test]
@@ -573,7 +559,8 @@ mod tests {
             classes: 6,
             queries: 600,
             repeats: 3,
-            active_tier: "wide".into(),
+            seed: 1,
+            kernel_tier: "wide".into(),
             threads: 1,
             rows: vec![KernelBenchRow {
                 kernel: "hamming_all".into(),
@@ -589,7 +576,8 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"ucihar\", \"dim\": 8192, \"classes\": 6, \"queries\": 600, \
-             \"repeats\": 3, \"active_tier\": \"wide\", \"threads\": 1, \"bit_exact\": true, \
+             \"repeats\": 3, \"seed\": 1, \"kernel_tier\": \"wide\", \"threads\": 1, \
+             \"bit_exact\": true, \
              \"kernels\": [{\"kernel\": \"hamming_all\", \"bytes\": 1048576, \
              \"reference_gib_s\": 3.25, \"wide_gib_s\": 6.50, \"speedup\": 2.000, \
              \"parity_expected\": false}], \

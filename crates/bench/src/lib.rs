@@ -46,6 +46,7 @@ pub mod table1;
 pub mod table3;
 pub mod table4;
 pub mod throughput;
+pub mod timing;
 pub mod trainbench;
 pub mod workload;
 

@@ -17,15 +17,18 @@
 //! the whole pipeline.
 //!
 //! Before any timing, the sweep cross-checks (a) the fast-path encoder
-//! against the scalar reference encoder and (b) the engine's batched and
-//! fused predictions against the sequential `TrainedModel::predict` path —
-//! the reported rates always describe the bit-exact engine, never a faster
-//! approximation.
+//! against the scalar reference encoder
+//! ([`robusthd::RecordEncoder::encode_reference`]) and (b) the engine's
+//! batched and fused predictions against the sequential
+//! `TrainedModel::predict` path — the reported rates always describe the
+//! bit-exact engine, never a faster approximation. The reference encoder
+//! is also timed once, single-threaded, so one run reports what the fast
+//! path buys.
 
-use crate::workload::{EncodedWorkload, Scale};
-use robusthd::{BatchConfig, BatchEngine, EncodeConfig, Encoder, RecordEncoder};
+use crate::timing::best_seconds;
+use crate::workload::EncodedWorkload;
+use robusthd::{BatchConfig, BatchEngine};
 use std::fmt::Write as _;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 /// One timed point of the thread sweep.
@@ -58,8 +61,11 @@ pub struct ThroughputOutcome {
     pub shard_size: usize,
     /// Timed repetitions per thread count (best wins).
     pub repeats: usize,
-    /// Whether the encoder's bound-pair fast path was active.
-    pub encode_fast: bool,
+    /// Workload seed.
+    pub seed: u64,
+    /// Raw rows encoded per second by the scalar reference encoder, one
+    /// thread (best repeat).
+    pub reference_encode_qps: f64,
     /// One row per thread count, in sweep order.
     pub rows: Vec<ThroughputRow>,
 }
@@ -72,8 +78,15 @@ impl ThroughputOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"queries\": {}, \"shard_size\": {}, \
-             \"repeats\": {}, \"encode_fast\": {}, \"bit_exact\": true, \"sweep\": [",
-            self.name, self.dim, self.queries, self.shard_size, self.repeats, self.encode_fast
+             \"repeats\": {}, \"seed\": {}, \"bit_exact\": true, \
+             \"reference_encode_qps\": {:.1}, \"sweep\": [",
+            self.name,
+            self.dim,
+            self.queries,
+            self.shard_size,
+            self.repeats,
+            self.seed,
+            self.reference_encode_qps
         );
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -92,19 +105,12 @@ impl ThroughputOutcome {
 }
 
 /// Best wall-clock rate (items per second) of `f` over `repeats` runs.
-fn best_rate<T>(items: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
-    }
-    items as f64 / best
+fn best_rate<T>(items: usize, repeats: usize, f: impl FnMut() -> T) -> f64 {
+    items as f64 / best_seconds(repeats, f)
 }
 
-/// Runs the thread sweep on one dataset.
+/// Runs the thread sweep on one dataset, serving `queries` raw rows per
+/// timed batch.
 ///
 /// # Panics
 ///
@@ -113,7 +119,7 @@ fn best_rate<T>(items: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
 /// throughput for a non-bit-exact configuration.
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
+    queries: usize,
     dim: usize,
     seed: u64,
     threads: &[usize],
@@ -122,28 +128,21 @@ pub fn run(
 ) -> ThroughputOutcome {
     assert!(!threads.is_empty(), "thread sweep must not be empty");
     assert!(shard_size > 0 && repeats > 0, "tuning must be positive");
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
+    let workload = EncodedWorkload::for_queries(spec, queries, dim, seed);
     let rows = workload.test_rows();
 
-    // Cross-check 1: the serving encoder (whatever ROBUSTHD_ENCODE_FAST
-    // selected) against an explicit scalar-reference encoder.
-    let reference_encoder = RecordEncoder::with_encode_config(
-        &workload.config,
-        spec.features,
-        EncodeConfig::reference(),
-    );
+    // Cross-check 1: the fast-path encodings against the scalar reference.
+    let reference = |row: &&[f64]| workload.encoder.encode_reference(row);
     for (row, encoded) in rows.iter().zip(&workload.test_encoded) {
         assert_eq!(
-            workload.encoder.encode(row),
-            *encoded,
-            "workload encoding is not reproducible"
-        );
-        assert_eq!(
-            reference_encoder.encode(row),
+            reference(row),
             *encoded,
             "fast-path encoding diverges from the scalar reference"
         );
     }
+    let reference_encode_qps = best_rate(rows.len(), repeats, || {
+        rows.iter().map(reference).collect::<Vec<_>>()
+    });
 
     // Cross-check 2: batched and fused predictions against the sequential
     // model path.
@@ -199,7 +198,8 @@ pub fn run(
         queries: rows.len(),
         shard_size,
         repeats,
-        encode_fast: workload.encoder.fast_path(),
+        seed,
+        reference_encode_qps,
         rows: out_rows,
     }
 }
@@ -210,8 +210,10 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_thread_count() {
-        let o = run(&DatasetSpec::pecan(), Scale::Quick, 2048, 3, &[1, 2], 16, 1);
+        let o = run(&DatasetSpec::pecan(), 120, 2048, 3, &[1, 2], 16, 1);
         assert_eq!(o.rows.len(), 2);
+        assert_eq!(o.queries, 120);
+        assert!(o.reference_encode_qps > 0.0);
         assert_eq!(o.rows[0].threads, 1);
         assert!((o.rows[0].speedup - 1.0).abs() < 1e-12);
         assert!(o
@@ -228,7 +230,8 @@ mod tests {
             queries: 10,
             shard_size: 4,
             repeats: 1,
-            encode_fast: true,
+            seed: 3,
+            reference_encode_qps: 300.0,
             rows: vec![ThroughputRow {
                 threads: 1,
                 encode_qps: 1500.0,
@@ -240,7 +243,8 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"pecan\", \"dim\": 2048, \"queries\": 10, \"shard_size\": 4, \
-             \"repeats\": 1, \"encode_fast\": true, \"bit_exact\": true, \"sweep\": [\
+             \"repeats\": 1, \"seed\": 3, \"bit_exact\": true, \
+             \"reference_encode_qps\": 300.0, \"sweep\": [\
              {\"threads\": 1, \"encode_qps\": 1500.0, \"score_qps\": 80000.0, \
              \"end_to_end_qps\": 1400.0, \"speedup\": 1.000}]}"
         );

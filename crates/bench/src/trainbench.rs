@@ -12,16 +12,15 @@
 //! Before any timing, the sweep cross-checks the fast training path
 //! against the sequential scalar reference at every thread count — down to
 //! the raw `i64` accumulator counts, not just the thresholded model — so
-//! the reported rates always describe the bit-exact engine. Set
-//! `ROBUSTHD_TRAIN_FAST=0` to time the reference path instead (the
-//! cross-check still runs; the two paths are interchangeable by
-//! construction).
+//! the reported rates always describe the bit-exact engine. The reference
+//! trainer ([`train_accumulators_reference`]) is also timed once, which is
+//! inherently single-threaded, so one run reports what the fast path buys.
 
-use crate::workload::{EncodedWorkload, Scale};
-use robusthd::train::train_accumulators;
-use robusthd::{BatchConfig, BatchEngine, TrainConfig, TrainedModel};
+use crate::timing::best_seconds;
+use crate::workload::EncodedWorkload;
+use robusthd::train::{train_accumulators, train_accumulators_reference};
+use robusthd::{BatchConfig, BatchEngine, TrainedModel};
 use std::fmt::Write as _;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 /// One timed point of the thread sweep.
@@ -60,8 +59,11 @@ pub struct TrainBenchOutcome {
     pub shard_size: usize,
     /// Timed repetitions per thread count (best wins).
     pub repeats: usize,
-    /// Whether the bit-sliced training fast path was active.
-    pub train_fast: bool,
+    /// Workload seed.
+    pub seed: u64,
+    /// The sequential scalar reference trainer, timed once (one thread;
+    /// `speedup` is relative to the sweep's baseline row).
+    pub reference: TrainBenchRow,
     /// One row per thread count, in sweep order.
     pub rows: Vec<TrainBenchRow>,
 }
@@ -74,8 +76,8 @@ impl TrainBenchOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"samples\": {}, \"classes\": {}, \
-             \"epochs\": {}, \"shard_size\": {}, \"repeats\": {}, \"train_fast\": {}, \
-             \"bit_exact\": true, \"sweep\": [",
+             \"epochs\": {}, \"shard_size\": {}, \"repeats\": {}, \"seed\": {}, \
+             \"bit_exact\": true, \"reference\": ",
             self.name,
             self.dim,
             self.samples,
@@ -83,38 +85,61 @@ impl TrainBenchOutcome {
             self.epochs,
             self.shard_size,
             self.repeats,
-            self.train_fast
+            self.seed
         );
+        self.reference.write_json(&mut out);
+        out.push_str(", \"sweep\": [");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(
-                out,
-                "{{\"threads\": {}, \"bundle_qps\": {:.1}, \"retrain_qps\": {:.1}, \
-                 \"fit_seconds\": {:.4}, \"speedup\": {:.3}}}",
-                row.threads, row.bundle_qps, row.retrain_qps, row.fit_seconds, row.speedup
-            );
+            row.write_json(&mut out);
         }
         out.push_str("]}");
         out
     }
 }
 
-/// Best wall-clock seconds of `f` over `repeats` runs.
-fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
+impl TrainBenchRow {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"threads\": {}, \"bundle_qps\": {:.1}, \"retrain_qps\": {:.1}, \
+             \"fit_seconds\": {:.4}, \"speedup\": {:.3}}}",
+            self.threads, self.bundle_qps, self.retrain_qps, self.fit_seconds, self.speedup
+        );
     }
-    best
 }
 
-/// Runs the training thread sweep on one dataset.
+/// Times one training path: best-of-`repeats` bundling (`fit(0)`, zero
+/// epochs) and full fit (`fit(epochs)`), as a sweep row with `speedup`
+/// left at 1.
+fn time_fit<T>(
+    threads: usize,
+    samples: usize,
+    epochs: usize,
+    repeats: usize,
+    mut fit: impl FnMut(usize) -> T,
+) -> TrainBenchRow {
+    let bundle_seconds = best_seconds(repeats, || fit(0));
+    let fit_seconds = best_seconds(repeats, || fit(epochs));
+    let retrain_seconds = fit_seconds - bundle_seconds;
+    let retrain_qps = if epochs == 0 || retrain_seconds <= 0.0 {
+        0.0
+    } else {
+        (samples * epochs) as f64 / retrain_seconds
+    };
+    TrainBenchRow {
+        threads,
+        bundle_qps: samples as f64 / bundle_seconds,
+        retrain_qps,
+        fit_seconds,
+        speedup: 1.0,
+    }
+}
+
+/// Runs the training thread sweep on one dataset, fitting `samples`
+/// training rows with an `epochs` retraining budget.
 ///
 /// # Panics
 ///
@@ -123,7 +148,7 @@ fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
 /// non-bit-exact configuration.
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
+    samples: usize,
     dim: usize,
     seed: u64,
     epochs: usize,
@@ -133,52 +158,33 @@ pub fn run(
 ) -> TrainBenchOutcome {
     assert!(!threads.is_empty(), "thread sweep must not be empty");
     assert!(shard_size > 0 && repeats > 0, "tuning must be positive");
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
+    let workload = EncodedWorkload::with_sizes(spec, samples, 1, dim, seed);
     let encoded = &workload.train_encoded;
     let labels = &workload.train_labels;
     let classes = spec.classes;
-
-    let mut cfg_fit = workload.config.clone();
-    cfg_fit.retrain_epochs = epochs;
-    let mut cfg_bundle = cfg_fit.clone();
-    cfg_bundle.retrain_epochs = 0;
+    let config_for = |epochs: usize| {
+        let mut config = workload.config.clone();
+        config.retrain_epochs = epochs;
+        config
+    };
+    let cfg_fit = config_for(epochs);
 
     // Cross-check: the fast path at every swept thread count against one
     // sequential scalar-reference fit — raw accumulator counts and the
     // thresholded model both.
+    let reference = train_accumulators_reference(encoded, labels, classes, &cfg_fit);
+    let reference_model = TrainedModel::from_accumulators(&reference);
     let mut engine = BatchEngine::from_env();
-    engine.set_config(
+    let batch_config = |t: usize| {
         BatchConfig::builder()
-            .threads(1)
+            .threads(t)
             .shard_size(shard_size)
             .build()
-            .expect("valid batch config"),
-    );
-    let reference = train_accumulators(
-        encoded,
-        labels,
-        classes,
-        &cfg_fit,
-        &TrainConfig::reference(),
-        &engine,
-    );
-    let reference_model = TrainedModel::from_accumulators(&reference);
+            .expect("valid batch config")
+    };
     for &t in threads {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard_size)
-                .build()
-                .expect("valid batch config"),
-        );
-        let fast = train_accumulators(
-            encoded,
-            labels,
-            classes,
-            &cfg_fit,
-            &TrainConfig::fast(),
-            &engine,
-        );
+        engine.set_config(batch_config(t));
+        let fast = train_accumulators(encoded, labels, classes, &cfg_fit, &engine);
         for (c, (f, r)) in fast.iter().zip(&reference).enumerate() {
             assert_eq!(
                 f.counts(),
@@ -197,43 +203,19 @@ pub fn run(
         );
     }
 
-    // Time whatever path ROBUSTHD_TRAIN_FAST selected — the cross-check
-    // above already proved it bit-exact.
-    let train = TrainConfig::from_env();
-    let mut out_rows = Vec::with_capacity(threads.len());
-    let mut baseline = None;
+    let mut out_rows: Vec<TrainBenchRow> = Vec::with_capacity(threads.len());
     for &t in threads {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard_size)
-                .build()
-                .expect("valid batch config"),
-        );
-        let bundle_seconds = best_seconds(repeats, || {
-            train_accumulators(encoded, labels, classes, &cfg_bundle, &train, &engine)
+        engine.set_config(batch_config(t));
+        let mut row = time_fit(t, encoded.len(), epochs, repeats, |epochs| {
+            train_accumulators(encoded, labels, classes, &config_for(epochs), &engine)
         });
-        let fit_seconds = best_seconds(repeats, || {
-            TrainedModel::from_accumulators(&train_accumulators(
-                encoded, labels, classes, &cfg_fit, &train, &engine,
-            ))
-        });
-        let bundle_qps = encoded.len() as f64 / bundle_seconds;
-        let retrain_seconds = fit_seconds - bundle_seconds;
-        let retrain_qps = if epochs == 0 || retrain_seconds <= 0.0 {
-            0.0
-        } else {
-            (encoded.len() * epochs) as f64 / retrain_seconds
-        };
-        let base = *baseline.get_or_insert(bundle_qps);
-        out_rows.push(TrainBenchRow {
-            threads: t,
-            bundle_qps,
-            retrain_qps,
-            fit_seconds,
-            speedup: bundle_qps / base,
-        });
+        row.speedup = row.bundle_qps / out_rows.first().map_or(row.bundle_qps, |b| b.bundle_qps);
+        out_rows.push(row);
     }
+    let mut reference = time_fit(1, encoded.len(), epochs, repeats, |epochs| {
+        train_accumulators_reference(encoded, labels, classes, &config_for(epochs))
+    });
+    reference.speedup = reference.bundle_qps / out_rows[0].bundle_qps;
     TrainBenchOutcome {
         name: spec.name.to_string(),
         dim,
@@ -242,7 +224,8 @@ pub fn run(
         epochs,
         shard_size,
         repeats,
-        train_fast: train.fast_path,
+        seed,
+        reference,
         rows: out_rows,
     }
 }
@@ -253,17 +236,10 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_thread_count() {
-        let o = run(
-            &DatasetSpec::pecan(),
-            Scale::Quick,
-            1024,
-            3,
-            1,
-            &[1, 2],
-            16,
-            1,
-        );
+        let o = run(&DatasetSpec::pecan(), 90, 1024, 3, 1, &[1, 2], 16, 1);
         assert_eq!(o.rows.len(), 2);
+        assert_eq!(o.reference.threads, 1);
+        assert!(o.reference.bundle_qps > 0.0 && o.reference.fit_seconds > 0.0);
         assert_eq!(o.rows[0].threads, 1);
         assert!((o.rows[0].speedup - 1.0).abs() < 1e-12);
         assert!(o
@@ -271,7 +247,7 @@ mod tests {
             .iter()
             .all(|r| r.bundle_qps > 0.0 && r.fit_seconds > 0.0));
         assert_eq!(o.epochs, 1);
-        assert!(o.samples > 0);
+        assert_eq!(o.samples, 90);
     }
 
     #[test]
@@ -284,7 +260,14 @@ mod tests {
             epochs: 2,
             shard_size: 32,
             repeats: 3,
-            train_fast: true,
+            seed: 4,
+            reference: TrainBenchRow {
+                threads: 1,
+                bundle_qps: 1000.0,
+                retrain_qps: 1100.0,
+                fit_seconds: 0.5,
+                speedup: 0.4,
+            },
             rows: vec![TrainBenchRow {
                 threads: 1,
                 bundle_qps: 2500.0,
@@ -296,8 +279,10 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"ucihar\", \"dim\": 8192, \"samples\": 400, \"classes\": 6, \
-             \"epochs\": 2, \"shard_size\": 32, \"repeats\": 3, \"train_fast\": true, \
-             \"bit_exact\": true, \"sweep\": [{\"threads\": 1, \"bundle_qps\": 2500.0, \
+             \"epochs\": 2, \"shard_size\": 32, \"repeats\": 3, \"seed\": 4, \
+             \"bit_exact\": true, \"reference\": {\"threads\": 1, \"bundle_qps\": 1000.0, \
+             \"retrain_qps\": 1100.0, \"fit_seconds\": 0.5000, \"speedup\": 0.400}, \
+             \"sweep\": [{\"threads\": 1, \"bundle_qps\": 2500.0, \
              \"retrain_qps\": 1200.5, \"fit_seconds\": 0.2500, \"speedup\": 1.000}]}"
         );
     }

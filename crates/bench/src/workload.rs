@@ -61,6 +61,25 @@ impl EncodedWorkload {
     /// Builds the workload: generate → encode → train.
     pub fn build(spec: &DatasetSpec, scale: Scale, dim: usize, seed: u64) -> Self {
         let (train_size, test_size) = scale.sizes(spec);
+        Self::with_sizes(spec, train_size, test_size, dim, seed)
+    }
+
+    /// A workload serving `queries` test rows from a model trained on the
+    /// [`Scale::Quick`] training split: for harnesses that time serving
+    /// and only need *a* trained model.
+    pub fn for_queries(spec: &DatasetSpec, queries: usize, dim: usize, seed: u64) -> Self {
+        let (train_size, _) = Scale::Quick.sizes(spec);
+        Self::with_sizes(spec, train_size, queries, dim, seed)
+    }
+
+    /// Builds the workload with explicit train/test split sizes.
+    pub fn with_sizes(
+        spec: &DatasetSpec,
+        train_size: usize,
+        test_size: usize,
+        dim: usize,
+        seed: u64,
+    ) -> Self {
         let spec = spec.with_sizes(train_size, test_size);
         let data = GeneratorConfig::new(seed).generate(&spec);
         let config = HdcConfig::builder()

@@ -9,10 +9,9 @@ use faultsim::{AttackCampaign, Attacker, ErrorRateSchedule};
 use robusthd::diagnostics::{HealthMonitor, HealthVerdict};
 use robusthd::persist;
 use robusthd::supervisor::{run_soak, ResilienceSupervisor};
-use robusthd::train::train_accumulators;
 use robusthd::{
-    accuracy, AdvConfig, BatchConfig, BatchEngine, EncodeConfig, Encoder, HdcConfig, RecordEncoder,
-    RecoveryConfig, RecoveryEngine, SubstitutionMode, SupervisorConfig, TrainConfig, TrainedModel,
+    accuracy, AdvConfig, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder,
+    RecoveryConfig, RecoveryEngine, SubstitutionMode, SupervisorConfig, TrainedModel,
 };
 use std::fmt::Write as _;
 use std::fs::File;
@@ -821,14 +820,7 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     if let Some(path) = args.get("replay") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let corpus = DisagreementCorpus::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
-        let fast =
-            RecordEncoder::with_encode_config(&pipeline.config, features, EncodeConfig::fast());
-        let reference = RecordEncoder::with_encode_config(
-            &pipeline.config,
-            features,
-            EncodeConfig::reference(),
-        );
-        let report = corpus.replay(&engine, &fast, &reference, &variants, beta);
+        let report = corpus.replay(&engine, &pipeline.encoder, &variants, beta);
         if args.flag("json") {
             return Ok(format!(
                 "{{\"cases\":{},\"encode_mismatches\":{},\"score_mismatches\":{},\
@@ -1039,10 +1031,10 @@ rates per point:
     end_to_end_qps   raw rows -> predictions, fused (no intermediate batch)
 
 Before timing, the encoder is cross-checked against the scalar reference
-path and the engine's predictions against the sequential path at every
+encoder and the engine's predictions against the sequential path at every
 thread count, so the reported rates always describe the bit-exact engine.
-Set ROBUSTHD_ENCODE_FAST=0 to time the reference encoder instead. Emits
-one JSON object to stdout.
+The reference encoder is timed once, single-threaded, as
+reference_encode_qps. Emits one JSON object to stdout.
 
 OPTIONS:
     --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
@@ -1053,7 +1045,8 @@ OPTIONS:
     --repeats <N>      timed repetitions per thread count; best rate wins (default 3)
     --seed <N>         pipeline seed (default 0)";
 
-/// `robusthd throughput` — queries/sec sweep over thread counts.
+/// `robusthd throughput` — queries/sec sweep over thread counts
+/// ([`robusthd_bench::throughput::run`]).
 pub fn throughput(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
@@ -1065,144 +1058,23 @@ pub fn throughput(argv: &[String]) -> Result<String, String> {
     if args.flag("help") {
         return Ok(THROUGHPUT_HELP.to_owned());
     }
-    let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
     let queries = args
         .get_parsed_or("queries", 2000usize)
         .map_err(|e| e.to_string())?;
-    if queries == 0 {
-        return Err("--queries must be positive".to_owned());
-    }
     let dim = args
         .get_parsed_or("dim", 4096usize)
         .map_err(|e| e.to_string())?;
-    let shard = args
-        .get_parsed_or("shard", 32usize)
-        .map_err(|e| e.to_string())?;
-    let repeats = args
-        .get_parsed_or("repeats", 3usize)
-        .map_err(|e| e.to_string())?;
-    if shard == 0 || repeats == 0 {
-        return Err("--shard and --repeats must be positive".to_owned());
+    if queries == 0 || dim == 0 {
+        return Err("--queries and --dim must be positive".to_owned());
     }
     let seed = args
         .get_parsed_or("seed", 0u64)
         .map_err(|e| e.to_string())?;
-    let threads: Vec<usize> = args
-        .get("threads")
-        .unwrap_or("1,2,4,8")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--threads entry `{t}` is not a positive integer"))
-        })
-        .collect::<Result<_, _>>()?;
-    if threads.is_empty() {
-        return Err("--threads list must not be empty".to_owned());
-    }
-
-    let spec = spec.with_sizes(400, queries);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let pipeline = train_pipeline(&data.train, &data.test, dim, seed)?;
-    let rows: Vec<&[f64]> = data.test.iter().map(|s| s.features.as_slice()).collect();
-    let sequential: Vec<usize> = pipeline
-        .queries
-        .iter()
-        .map(|q| pipeline.model.predict(q))
-        .collect();
-
-    // Cross-check the serving encoder against the explicit scalar
-    // reference before timing anything.
-    let reference_encoder = robusthd::RecordEncoder::with_encode_config(
-        &pipeline.config,
-        rows[0].len(),
-        robusthd::EncodeConfig::reference(),
-    );
-    for (row, encoded) in rows.iter().zip(&pipeline.queries) {
-        if reference_encoder.encode(row) != *encoded {
-            return Err(
-                "bit-exactness violated: fast-path encoding diverges from the scalar reference"
-                    .to_owned(),
-            );
-        }
-    }
-
-    /// Best items-per-second over `repeats` runs of `f`.
-    fn best_rate<T>(items: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        items as f64 / best
-    }
-
-    let mut engine = BatchEngine::from_env();
-    let mut entries = String::new();
-    let mut baseline_rate = None;
-    for (idx, &t) in threads.iter().enumerate() {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard)
-                .build()
-                .map_err(|e| e.to_string())?,
-        );
-        let batched = engine.predict_batch(&pipeline.model, &pipeline.queries);
-        if batched != sequential {
-            return Err(format!(
-                "bit-exactness violated: batched predictions at {t} threads diverge \
-                 from the sequential path"
-            ));
-        }
-        let fused = engine.predict_raw_batch(&pipeline.encoder, &pipeline.model, &rows);
-        if fused != sequential {
-            return Err(format!(
-                "bit-exactness violated: fused raw predictions at {t} threads diverge \
-                 from the sequential path"
-            ));
-        }
-
-        let encode_qps = best_rate(rows.len(), repeats, || {
-            engine.encode_batch(&pipeline.encoder, &rows)
-        });
-        let score_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_batch(&pipeline.model, &pipeline.queries)
-        });
-        let end_to_end_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_raw_batch(&pipeline.encoder, &pipeline.model, &rows)
-        });
-        let baseline = *baseline_rate.get_or_insert(end_to_end_qps);
-        if idx > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"threads\": {t}, \"encode_qps\": {encode_qps:.1}, \
-             \"score_qps\": {score_qps:.1}, \"end_to_end_qps\": {end_to_end_qps:.1}, \
-             \"speedup\": {:.3}}}",
-            end_to_end_qps / baseline
-        );
-    }
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"queries\": {queries}, \
-         \"shard_size\": {shard}, \"repeats\": {repeats}, \"seed\": {seed},\n  \
-         \"encode_fast\": {},\n  \"bit_exact\": true,\n  \"sweep\": [\n{entries}\n  ]\n}}",
-        pipeline.encoder.fast_path()
-    ))
+    let (threads, shard, repeats) = sweep_args(&args)?;
+    let outcome =
+        robusthd_bench::throughput::run(&spec, queries, dim, seed, &threads, shard, repeats);
+    Ok(outcome.to_json())
 }
 
 const TRAINBENCH_HELP: &str = "\
@@ -1219,8 +1091,8 @@ three figures per point:
 Before timing, the fast training path is cross-checked against the
 sequential scalar reference at every thread count — raw accumulator
 counts included — so the reported rates always describe the bit-exact
-engine. Set ROBUSTHD_TRAIN_FAST=0 to time the reference path instead.
-Emits one JSON object to stdout.
+engine. The reference trainer is timed once, single-threaded, as the
+`reference` row. Emits one JSON object to stdout.
 
 OPTIONS:
     --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
@@ -1232,7 +1104,8 @@ OPTIONS:
     --repeats <N>      timed repetitions per thread count; best time wins (default 3)
     --seed <N>         pipeline seed (default 0)";
 
-/// `robusthd trainbench` — training samples/sec sweep over thread counts.
+/// `robusthd trainbench` — training samples/sec sweep over thread counts
+/// ([`robusthd_bench::trainbench::run`]).
 pub fn trainbench(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
@@ -1244,28 +1117,33 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
     if args.flag("help") {
         return Ok(TRAINBENCH_HELP.to_owned());
     }
-    let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
     let samples = args
         .get_parsed_or("samples", 400usize)
         .map_err(|e| e.to_string())?;
-    if samples == 0 {
-        return Err("--samples must be positive".to_owned());
-    }
     let dim = args
         .get_parsed_or("dim", 4096usize)
         .map_err(|e| e.to_string())?;
+    if samples == 0 || dim == 0 {
+        return Err("--samples and --dim must be positive".to_owned());
+    }
     let epochs = args
         .get_parsed_or("epochs", 2usize)
         .map_err(|e| e.to_string())?;
+    let seed = args
+        .get_parsed_or("seed", 0u64)
+        .map_err(|e| e.to_string())?;
+    let (threads, shard, repeats) = sweep_args(&args)?;
+    let outcome = robusthd_bench::trainbench::run(
+        &spec, samples, dim, seed, epochs, &threads, shard, repeats,
+    );
+    Ok(outcome.to_json())
+}
+
+/// Parses and validates the thread-sweep tuning shared by `throughput`
+/// and `trainbench` — `--threads`, `--shard`, `--repeats` — so a bad value
+/// is an error here rather than an assertion in the bench harness.
+fn sweep_args(args: &ParsedArgs) -> Result<(Vec<usize>, usize, usize), String> {
     let shard = args
         .get_parsed_or("shard", 32usize)
         .map_err(|e| e.to_string())?;
@@ -1275,10 +1153,7 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
     if shard == 0 || repeats == 0 {
         return Err("--shard and --repeats must be positive".to_owned());
     }
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
-    let threads: Vec<usize> = args
+    let threads = args
         .get("threads")
         .unwrap_or("1,2,4,8")
         .split(',')
@@ -1290,132 +1165,23 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
                 .ok_or_else(|| format!("--threads entry `{t}` is not a positive integer"))
         })
         .collect::<Result<_, _>>()?;
-    if threads.is_empty() {
-        return Err("--threads list must not be empty".to_owned());
-    }
-
-    let spec = spec.with_sizes(samples, 1);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let classes = spec.classes;
-    let cfg_fit = HdcConfig::builder()
-        .dimension(dim)
-        .retrain_epochs(epochs)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut cfg_bundle = cfg_fit.clone();
-    cfg_bundle.retrain_epochs = 0;
-    let encoder = RecordEncoder::new(&cfg_fit, spec.features);
-    let mut engine = BatchEngine::from_env();
-    let batch_config = |t: usize| {
-        BatchConfig::builder()
-            .threads(t)
-            .shard_size(shard)
-            .build()
-            .map_err(|e| e.to_string())
-    };
-    engine.set_config(batch_config(1)?);
-    let rows: Vec<&[f64]> = data.train.iter().map(|s| s.features.as_slice()).collect();
-    let encoded = engine.encode_batch(&encoder, &rows);
-    let labels: Vec<usize> = data.train.iter().map(|s| s.label).collect();
-
-    // Cross-check the fast path against one sequential scalar-reference
-    // fit at every swept thread count — raw accumulator counts included —
-    // before timing anything.
-    let reference = train_accumulators(
-        &encoded,
-        &labels,
-        classes,
-        &cfg_fit,
-        &TrainConfig::reference(),
-        &engine,
-    );
-    for &t in &threads {
-        engine.set_config(batch_config(t)?);
-        let fast = train_accumulators(
-            &encoded,
-            &labels,
-            classes,
-            &cfg_fit,
-            &TrainConfig::fast(),
-            &engine,
-        );
-        if fast != reference {
-            return Err(format!(
-                "bit-exactness violated: fast-path training at {t} threads diverges \
-                 from the sequential scalar reference"
-            ));
-        }
-    }
-
-    /// Best wall-clock seconds over `repeats` runs of `f`.
-    fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    // Time whatever path ROBUSTHD_TRAIN_FAST selected — proven bit-exact
-    // above.
-    let train = TrainConfig::from_env();
-    let mut entries = String::new();
-    let mut baseline_rate = None;
-    for (idx, &t) in threads.iter().enumerate() {
-        engine.set_config(batch_config(t)?);
-        let bundle_seconds = best_seconds(repeats, || {
-            train_accumulators(&encoded, &labels, classes, &cfg_bundle, &train, &engine)
-        });
-        let fit_seconds = best_seconds(repeats, || {
-            TrainedModel::from_accumulators(&train_accumulators(
-                &encoded, &labels, classes, &cfg_fit, &train, &engine,
-            ))
-        });
-        let bundle_qps = encoded.len() as f64 / bundle_seconds;
-        let retrain_seconds = fit_seconds - bundle_seconds;
-        let retrain_qps = if epochs == 0 || retrain_seconds <= 0.0 {
-            0.0
-        } else {
-            (encoded.len() * epochs) as f64 / retrain_seconds
-        };
-        let baseline = *baseline_rate.get_or_insert(bundle_qps);
-        if idx > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"threads\": {t}, \"bundle_qps\": {bundle_qps:.1}, \
-             \"retrain_qps\": {retrain_qps:.1}, \"fit_seconds\": {fit_seconds:.4}, \
-             \"speedup\": {:.3}}}",
-            bundle_qps / baseline
-        );
-    }
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"samples\": {}, \"classes\": {classes}, \
-         \"epochs\": {epochs}, \"shard_size\": {shard}, \"repeats\": {repeats}, \
-         \"seed\": {seed},\n  \"train_fast\": {},\n  \"bit_exact\": true,\n  \
-         \"sweep\": [\n{entries}\n  ]\n}}",
-        encoded.len(),
-        train.fast_path
-    ))
+    Ok((threads, shard, repeats))
 }
 
 const KERNELBENCH_HELP: &str = "\
 robusthd kernelbench — measure execution-tier kernel throughput (GiB/s)
 
-Synthesizes a dataset in-process, trains a model, then times every kernel
-family the execution tiers re-route — pairwise and masked-range Hamming
-distance, class-major scoring, the carry-save majority ripple, bipolar
-count extraction, threshold extraction, and the bound-pair codebook XOR —
-on BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
-of operand traffic per tier and the wide/reference speedup. The tiers are
-timed tier-explicitly, so the ratios are reported no matter which tier
-ROBUSTHD_KERNEL_TIER installed; only the end-to-end predict_qps row runs
-through the installed tier (and honours ROBUSTHD_THREADS).
+Times every kernel family the execution tiers re-route — pairwise and
+masked-range Hamming distance, class-major scoring, the carry-save
+majority ripple, bipolar count extraction, threshold extraction, and the
+bound-pair codebook XOR — on seeded operands shaped like the dataset
+(dimension, class count), on BOTH tiers (reference scalar and wide
+lane-parallel), reporting GiB/s of operand traffic per tier and the
+wide/reference speedup. The tiers are timed tier-explicitly, so the
+ratios are reported no matter which tier ROBUSTHD_KERNEL_TIER installed;
+only the end-to-end predict_qps row — a trained model scoring the
+dataset's encoded queries — runs through the installed tier (and honours
+ROBUSTHD_THREADS).
 
 Before timing, every kernel is cross-checked bit-exact across tiers —
 integer counts exactly, similarity floats down to f64::to_bits — and a
@@ -1428,11 +1194,14 @@ OPTIONS:
     --repeats <N>      timed repetitions per kernel per tier; best time wins (default 3)
     --seed <N>         pipeline seed (default 0)";
 
-/// `robusthd kernelbench` — execution-tier kernel GiB/s sweep
-/// (reference vs wide), bit-exactness gated.
-pub fn kernelbench(argv: &[String]) -> Result<String, String> {
-    use hypervector::tier::{self, KernelTier};
+/// Operand traffic per timed kernel pass, so each repeat takes
+/// milliseconds.
+const KERNEL_PASS_BYTES: usize = 64 * 1024 * 1024;
 
+/// `robusthd kernelbench` — execution-tier kernel GiB/s sweep
+/// (reference vs wide), bit-exactness gated
+/// ([`robusthd_bench::kernelbench::run`]).
+pub fn kernelbench(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
         &["dataset", "dim", "queries", "repeats", "seed", "help"],
@@ -1441,329 +1210,28 @@ pub fn kernelbench(argv: &[String]) -> Result<String, String> {
     if args.flag("help") {
         return Ok(KERNELBENCH_HELP.to_owned());
     }
-    let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = dataset_spec(&name)?;
+    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
     let dim = args
         .get_parsed_or("dim", 8192usize)
         .map_err(|e| e.to_string())?;
-    let queries_n = args
+    let queries = args
         .get_parsed_or("queries", 400usize)
         .map_err(|e| e.to_string())?;
     let repeats = args
         .get_parsed_or("repeats", 3usize)
         .map_err(|e| e.to_string())?;
-    if dim == 0 || queries_n == 0 || repeats == 0 {
+    if dim == 0 || queries == 0 || repeats == 0 {
         return Err("--dim, --queries and --repeats must be positive".to_owned());
     }
     let seed = args
         .get_parsed_or("seed", 0u64)
         .map_err(|e| e.to_string())?;
-
-    // Workload: a trained model plus an encoded query batch. Constructing
-    // the engine first installs the process-wide kernel tier from
-    // ROBUSTHD_KERNEL_TIER, so every dispatching call below runs on it.
-    let engine = BatchEngine::from_env();
-    let spec = spec.with_sizes(300, queries_n);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let config = HdcConfig::builder()
-        .dimension(dim)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let encoder = RecordEncoder::new(&config, spec.features);
-    let train_rows: Vec<&[f64]> = data.train.iter().map(|s| s.features.as_slice()).collect();
-    let encoded = engine.encode_batch(&encoder, &train_rows);
-    let labels: Vec<usize> = data.train.iter().map(|s| s.label).collect();
-    let model = TrainedModel::train(&encoded, &labels, spec.classes, &config);
-    let test_rows: Vec<&[f64]> = data.test.iter().map(|s| s.features.as_slice()).collect();
-    let queries = engine.encode_batch(&encoder, &test_rows);
-    let words = dim.div_ceil(64);
-    let classes = model.num_classes();
-    let packed = model.packed();
-    const TIE_PARITY: u64 = 0x5555_5555_5555_5555;
-
-    // ---- Bit-exactness gate: every kernel family, both tiers, before any
-    // timing. A divergence fails the command instead of reporting rates.
-    let reference_dist = |a: &hypervector::BinaryHypervector,
-                          b: &hypervector::BinaryHypervector| {
-        tier::hamming_words(KernelTier::Reference, a.bits().words(), b.bits().words())
-    };
-    for query in queries.iter().take(8) {
-        let fused = packed.hamming_all(query);
-        for c in 0..classes {
-            let d = reference_dist(model.class(c), query);
-            if fused[c] != d {
-                return Err(format!(
-                    "bit-exactness violated: hamming_all class {c} disagrees with \
-                     the reference tier ({} vs {d})",
-                    fused[c]
-                ));
-            }
-            let sim = 1.0 - fused[c] as f64 / dim as f64;
-            let expected = 1.0 - d as f64 / dim as f64;
-            if sim.to_bits() != expected.to_bits() {
-                return Err(format!(
-                    "bit-exactness violated: similarity float for class {c} diverges"
-                ));
-            }
-        }
-    }
-    for pair in queries.windows(2).take(8) {
-        let (aw, bw) = (pair[0].bits().words(), pair[1].bits().words());
-        let d_ref = tier::hamming_words(KernelTier::Reference, aw, bw);
-        if tier::hamming_words(KernelTier::Wide, aw, bw) != d_ref {
-            return Err("bit-exactness violated: wide hamming diverges from reference".to_owned());
-        }
-        let mut total = 0usize;
-        for i in 0..8usize {
-            let (s, e) = (i * dim / 8, (i + 1) * dim / 8);
-            let r = tier::hamming_range_words(KernelTier::Reference, aw, bw, s, e);
-            if tier::hamming_range_words(KernelTier::Wide, aw, bw, s, e) != r {
-                return Err(format!(
-                    "bit-exactness violated: wide range kernel diverges on chunk {i}"
-                ));
-            }
-            total += r;
-        }
-        if total != d_ref {
-            return Err("bit-exactness violated: range kernel does not sum to hamming".to_owned());
-        }
-        let mut x_ref = vec![0u64; words];
-        let mut x_wide = vec![0u64; words];
-        tier::xor_words_into(KernelTier::Reference, &mut x_ref, aw, bw);
-        tier::xor_words_into(KernelTier::Wide, &mut x_wide, aw, bw);
-        if x_ref != x_wide {
-            return Err("bit-exactness violated: wide codebook xor diverges".to_owned());
-        }
-    }
-    let bundle_pool: Vec<_> = queries.iter().take(16).collect();
-    let mut planes_ref = vec![vec![0u64; words]; 8];
-    let mut planes_wide = vec![vec![0u64; words]; 8];
-    for hv in &bundle_pool {
-        tier::ripple_add(KernelTier::Reference, &mut planes_ref, hv.bits().words());
-        tier::ripple_add(KernelTier::Wide, &mut planes_wide, hv.bits().words());
-    }
-    if planes_ref != planes_wide {
-        return Err("bit-exactness violated: wide majority ripple diverges".to_owned());
-    }
-    let added = bundle_pool.len() as i64;
-    let mut counts_ref = vec![0i64; dim];
-    let mut counts_wide = vec![0i64; dim];
-    tier::bipolar_accumulate(KernelTier::Reference, &planes_ref, added, &mut counts_ref);
-    tier::bipolar_accumulate(KernelTier::Wide, &planes_ref, added, &mut counts_wide);
-    if counts_ref != counts_wide {
-        return Err("bit-exactness violated: wide bipolar extraction diverges".to_owned());
-    }
-    let half = bundle_pool.len() as u64 / 2;
-    let mut thr_ref = vec![0u64; words];
-    let mut thr_wide = vec![0u64; words];
-    tier::threshold_words(
-        KernelTier::Reference,
-        &planes_ref,
-        half,
-        TIE_PARITY,
-        &mut thr_ref,
-    );
-    tier::threshold_words(
-        KernelTier::Wide,
-        &planes_ref,
-        half,
-        TIE_PARITY,
-        &mut thr_wide,
-    );
-    if thr_ref != thr_wide {
-        return Err("bit-exactness violated: wide threshold extraction diverges".to_owned());
-    }
-    // End-to-end gate: batched predictions through the installed tier must
-    // equal the reference tier's per-query argmin (first-wins ties).
-    let batched = engine.predict_batch(&model, &queries);
-    for (q, (query, &got)) in queries.iter().zip(&batched).enumerate() {
-        let mut best = usize::MAX;
-        let mut best_class = 0usize;
-        for c in 0..classes {
-            let d = reference_dist(model.class(c), query);
-            if d < best {
-                best = d;
-                best_class = c;
-            }
-        }
-        if got != best_class {
-            return Err(format!(
-                "bit-exactness violated: batched prediction diverges from the \
-                 reference tier at query {q}"
-            ));
-        }
-    }
-
-    /// Best wall-clock seconds over `repeats` runs of `f`.
-    fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    // ---- Timed rows: both tiers, tier-explicitly, ~64 MiB of operand
-    // traffic per pass so each repeat is milliseconds.
-    const TARGET_BYTES: usize = 64 * 1024 * 1024;
-    let mut entries = String::new();
-    let mut row = |kernel: &str, bytes: usize, pass: &mut dyn FnMut(KernelTier) -> u64| {
-        let gib = bytes as f64 / (1024.0 * 1024.0 * 1024.0);
-        let ref_s = best_seconds(repeats, || {
-            std::hint::black_box(pass(KernelTier::Reference))
-        });
-        let wide_s = best_seconds(repeats, || std::hint::black_box(pass(KernelTier::Wide)));
-        let reference_gib_s = gib / ref_s;
-        let wide_gib_s = gib / wide_s;
-        let speedup = wide_gib_s / reference_gib_s;
-        // Parity-by-design marker: chunked_hamming's sub-64-word chunk
-        // spans route to the scalar loop inside the wide kernel, so tier
-        // parity (speedup ~1) is the intended outcome, not a regression.
-        let parity_expected = kernel == "chunked_hamming";
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"kernel\": \"{kernel}\", \"bytes\": {bytes}, \
-             \"reference_gib_s\": {reference_gib_s:.2}, \"wide_gib_s\": {wide_gib_s:.2}, \
-             \"speedup\": {speedup:.3}, \"parity_expected\": {parity_expected}}}"
-        );
-        speedup
-    };
-
-    let pair_bytes = 2 * words * 8;
-    let npairs = queries.len().saturating_sub(1).max(1);
-    let sweeps = (TARGET_BYTES / (pair_bytes * npairs)).max(1);
-    row("hamming", sweeps * npairs * pair_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..sweeps {
-            for pair in queries.windows(2) {
-                acc = acc.wrapping_add(tier::hamming_words(
-                    t,
-                    pair[0].bits().words(),
-                    pair[1].bits().words(),
-                ) as u64);
-            }
-        }
-        acc
-    });
-    row("chunked_hamming", sweeps * npairs * pair_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..sweeps {
-            for pair in queries.windows(2) {
-                for i in 0..8usize {
-                    let (s, e) = (i * dim / 8, (i + 1) * dim / 8);
-                    acc = acc.wrapping_add(tier::hamming_range_words(
-                        t,
-                        pair[0].bits().words(),
-                        pair[1].bits().words(),
-                        s,
-                        e,
-                    ) as u64);
-                }
-            }
-        }
-        acc
-    });
-    let score_bytes = (classes + 1) * words * 8;
-    let score_sweeps = (TARGET_BYTES / (score_bytes * queries.len())).max(1);
-    let mut scratch = Vec::with_capacity(classes);
-    let scoring_speedup = row(
-        "hamming_all",
-        score_sweeps * queries.len() * score_bytes,
-        &mut |t| {
-            let mut acc = 0u64;
-            for _ in 0..score_sweeps {
-                for query in &queries {
-                    tier::hamming_all_into_words(
-                        t,
-                        packed.words(),
-                        packed.words_per_class(),
-                        classes,
-                        query.bits().words(),
-                        &mut scratch,
-                    );
-                    acc = acc.wrapping_add(scratch[0] as u64);
-                }
-            }
-            acc
-        },
-    );
-    let bundle_bytes = bundle_pool.len() * words * 8;
-    let bundle_sweeps = (TARGET_BYTES / (4 * bundle_bytes)).max(1);
-    row("majority_ripple", bundle_sweeps * bundle_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..bundle_sweeps {
-            let mut planes = vec![vec![0u64; words]; 8];
-            for hv in &bundle_pool {
-                tier::ripple_add(t, &mut planes, hv.bits().words());
-            }
-            acc = acc.wrapping_add(planes[0][0]);
-        }
-        acc
-    });
-    let plane_bytes = planes_ref.len() * words * 8;
-    let bip_sweeps = (TARGET_BYTES / (8 * plane_bytes)).max(1);
-    let mut counts = vec![0i64; dim];
-    row("bipolar_counts", bip_sweeps * plane_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..bip_sweeps {
-            tier::bipolar_accumulate(t, &planes_ref, added, &mut counts);
-            acc = acc.wrapping_add(counts[0].unsigned_abs());
-        }
-        acc
-    });
-    let thr_sweeps = (TARGET_BYTES / plane_bytes).max(1);
-    let mut thr = vec![0u64; words];
-    row("threshold", thr_sweeps * plane_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..thr_sweeps {
-            tier::threshold_words(t, &planes_ref, half, TIE_PARITY, &mut thr);
-            acc = acc.wrapping_add(thr[0]);
-        }
-        acc
-    });
-    let xor_bytes = 3 * words * 8;
-    let xor_sweeps = (TARGET_BYTES / (xor_bytes * npairs)).max(1);
-    let mut bound = vec![0u64; words];
-    row("codebook_xor", xor_sweeps * npairs * xor_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..xor_sweeps {
-            for pair in queries.windows(2) {
-                tier::xor_words_into(
-                    t,
-                    &mut bound,
-                    pair[0].bits().words(),
-                    pair[1].bits().words(),
-                );
-                acc = acc.wrapping_add(bound[0]);
-            }
-        }
-        acc
-    });
-
-    let predict_seconds = best_seconds(repeats, || engine.predict_batch(&model, &queries));
-    let predict_qps = queries.len() as f64 / predict_seconds;
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"classes\": {classes}, \
-         \"queries\": {}, \"repeats\": {repeats}, \"seed\": {seed},\n  \
-         \"kernel_tier\": \"{}\", \"threads\": {},\n  \"bit_exact\": true,\n  \
-         \"kernels\": [\n{entries}\n  ],\n  \"scoring_speedup\": {scoring_speedup:.3},\n  \
-         \"predict_qps\": {predict_qps:.1}\n}}",
-        queries.len(),
-        tier::active().name(),
-        engine.config().threads
-    ))
+    let outcome =
+        robusthd_bench::kernelbench::run(&spec, dim, queries, seed, repeats, KERNEL_PASS_BYTES);
+    Ok(outcome.to_json())
 }
 
-/// Resolves a dataset name to its synthetic spec (shared by the serving
-/// subcommands; `throughput`/`trainbench` predate it and inline the same
-/// match).
+/// Resolves a dataset name to its synthetic spec.
 fn dataset_spec(name: &str) -> Result<DatasetSpec, String> {
     match name {
         "mnist" => Ok(DatasetSpec::mnist()),
@@ -2642,7 +2110,10 @@ mod tests {
         .expect("throughput succeeds");
         assert!(report.starts_with('{'), "report: {report}");
         assert!(report.contains("\"bit_exact\": true"), "report: {report}");
-        assert!(report.contains("\"encode_fast\": "), "report: {report}");
+        assert!(
+            report.contains("\"reference_encode_qps\": "),
+            "report: {report}"
+        );
         assert!(report.contains("\"threads\": 2"), "report: {report}");
         assert!(report.contains("encode_qps"), "report: {report}");
         assert!(report.contains("score_qps"), "report: {report}");
@@ -2653,6 +2124,10 @@ mod tests {
     fn throughput_rejects_bad_thread_list() {
         let err = throughput(&argv(&["--threads", "1,zero"])).unwrap_err();
         assert!(err.contains("not a positive integer"), "err: {err}");
+        for bad in [["--shard", "0"], ["--repeats", "0"]] {
+            let err = throughput(&argv(&bad)).unwrap_err();
+            assert!(err.contains("must be positive"), "{bad:?} err: {err}");
+        }
     }
 
     #[test]
@@ -2674,7 +2149,7 @@ mod tests {
         .expect("trainbench succeeds");
         assert!(report.starts_with('{'), "report: {report}");
         assert!(report.contains("\"bit_exact\": true"), "report: {report}");
-        assert!(report.contains("\"train_fast\": "), "report: {report}");
+        assert!(report.contains("\"reference\": {"), "report: {report}");
         assert!(report.contains("\"threads\": 2"), "report: {report}");
         assert!(report.contains("bundle_qps"), "report: {report}");
         assert!(report.contains("retrain_qps"), "report: {report}");
@@ -2685,13 +2160,51 @@ mod tests {
     fn trainbench_rejects_bad_thread_list() {
         let err = trainbench(&argv(&["--threads", "1,zero"])).unwrap_err();
         assert!(err.contains("not a positive integer"), "err: {err}");
+        for bad in [["--shard", "0"], ["--repeats", "0"]] {
+            let err = trainbench(&argv(&bad)).unwrap_err();
+            assert!(err.contains("must be positive"), "{bad:?} err: {err}");
+        }
+    }
+
+    #[test]
+    fn kernelbench_emits_the_keys_the_kernel_gate_reads() {
+        let report = kernelbench(&argv(&[
+            "--dataset",
+            "pecan",
+            "--dim",
+            "512",
+            "--queries",
+            "16",
+            "--repeats",
+            "1",
+        ]))
+        .expect("kernelbench succeeds");
+        assert!(report.starts_with('{'), "report: {report}");
+        for key in [
+            "\"bit_exact\": true",
+            "\"kernel_tier\": \"",
+            "\"scoring_speedup\": ",
+            "\"parity_expected\": ",
+            "\"kernel\": \"hamming_all\"",
+        ] {
+            assert!(report.contains(key), "missing {key}: {report}");
+        }
     }
 
     #[test]
     fn help_flags_short_circuit() {
         for cmd in [
-            generate, evaluate, attack, recover, train, infer, monitor, soak, throughput,
+            generate,
+            evaluate,
+            attack,
+            recover,
+            train,
+            infer,
+            monitor,
+            soak,
+            throughput,
             trainbench,
+            kernelbench,
         ] {
             let text = cmd(&argv(&["--help"])).expect("help is ok");
             assert!(text.contains("OPTIONS"));

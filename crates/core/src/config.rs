@@ -644,147 +644,6 @@ impl SupervisorConfigBuilder {
 /// thread count of the batched inference engine.
 pub const THREADS_ENV_VAR: &str = "ROBUSTHD_THREADS";
 
-/// Environment variable read by [`EncodeConfig::from_env`]: set to `0`,
-/// `false`, `off`, or `no` (case-insensitive) to disable the bit-sliced
-/// encoding fast path and fall back to the scalar
-/// [`hypervector::BundleAccumulator`] reference loop.
-pub const ENCODE_FAST_ENV_VAR: &str = "ROBUSTHD_ENCODE_FAST";
-
-/// Tuning of the record-encoder execution path
-/// ([`crate::encoding::RecordEncoder`]).
-///
-/// Like [`BatchConfig`], this is a pure throughput knob: the fast path
-/// (precomputed bound-pair codebook + bit-sliced carry-save majority) is
-/// bit-identical to the scalar reference path — the same hypervector comes
-/// out either way, which the differential suite
-/// (`crates/core/tests/encode_differential.rs`) asserts to
-/// `f64::to_bits` through the full pipeline. The switch exists so the
-/// differential tests (and anyone chasing a miscompare) can pin either
-/// implementation explicitly.
-///
-/// # Example
-///
-/// ```
-/// use robusthd::EncodeConfig;
-///
-/// assert!(EncodeConfig::default().fast_path);
-/// assert!(!EncodeConfig::reference().fast_path);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EncodeConfig {
-    /// When `true` (default) encode through the bound-pair codebook and the
-    /// bit-sliced majority kernel; when `false` run the scalar
-    /// bind-and-count reference loop.
-    pub fast_path: bool,
-}
-
-impl EncodeConfig {
-    /// The fast path: bound-pair codebook + carry-save majority.
-    pub fn fast() -> Self {
-        Self { fast_path: true }
-    }
-
-    /// The scalar reference path (per-feature bind into a
-    /// [`hypervector::BundleAccumulator`]).
-    pub fn reference() -> Self {
-        Self { fast_path: false }
-    }
-
-    /// The default (fast) configuration, overridden by the
-    /// `ROBUSTHD_ENCODE_FAST` environment variable: `0` / `false` / `off` /
-    /// `no` (case-insensitive) select the reference path, anything else —
-    /// including the variable being unset — selects the fast path.
-    pub fn from_env() -> Self {
-        Self {
-            fast_path: parse_fast_flag(std::env::var(ENCODE_FAST_ENV_VAR).ok().as_deref()),
-        }
-    }
-}
-
-impl Default for EncodeConfig {
-    fn default() -> Self {
-        Self::fast()
-    }
-}
-
-/// Parses a `ROBUSTHD_ENCODE_FAST` / `ROBUSTHD_TRAIN_FAST`-style value;
-/// only an explicit opt-out disables the fast path.
-///
-/// This is the single sanctioned decoder for fast-path opt-out flags: the
-/// repo-native lints (`cargo xtask lint`) fail any `ROBUSTHD_*`
-/// environment read that bypasses this module, so every flag keeps one
-/// parser, one default, and one [`FlagRegistry`] entry.
-pub fn parse_fast_flag(raw: Option<&str>) -> bool {
-    !matches!(
-        raw.map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-        Some("0") | Some("false") | Some("off") | Some("no")
-    )
-}
-
-/// Environment variable read by [`TrainConfig::from_env`]: set to `0`,
-/// `false`, `off`, or `no` (case-insensitive) to disable the bit-sliced
-/// parallel training engine and fall back to the sequential scalar
-/// reference trainer.
-pub const TRAIN_FAST_ENV_VAR: &str = "ROBUSTHD_TRAIN_FAST";
-
-/// Tuning of the model-training execution path
-/// ([`crate::train`], used by [`crate::TrainedModel::train`] and every
-/// `fit` entry point).
-///
-/// Like [`EncodeConfig`], this is a pure throughput knob: the fast path
-/// (sharded carry-save one-shot bundling + batch-scored retraining epochs)
-/// is bit-identical to the sequential scalar reference trainer — identical
-/// accumulator counts, identical mistakes, identical early-exit, at any
-/// thread count — which the differential suite
-/// (`crates/core/tests/train_differential.rs`) asserts down to the raw
-/// `i64` counters. The switch exists so the differential tests (and anyone
-/// chasing a miscompare) can pin either implementation explicitly.
-///
-/// # Example
-///
-/// ```
-/// use robusthd::TrainConfig;
-///
-/// assert!(TrainConfig::default().fast_path);
-/// assert!(!TrainConfig::reference().fast_path);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrainConfig {
-    /// When `true` (default) train through the sharded bit-sliced bundling
-    /// kernel and batch-scored retraining; when `false` run the sequential
-    /// scalar reference loop.
-    pub fast_path: bool,
-}
-
-impl TrainConfig {
-    /// The fast path: sharded carry-save bundling + batch-scored epochs.
-    pub fn fast() -> Self {
-        Self { fast_path: true }
-    }
-
-    /// The sequential scalar reference path (per-sample accumulator adds,
-    /// per-sample snapshot predictions).
-    pub fn reference() -> Self {
-        Self { fast_path: false }
-    }
-
-    /// The default (fast) configuration, overridden by the
-    /// `ROBUSTHD_TRAIN_FAST` environment variable: `0` / `false` / `off` /
-    /// `no` (case-insensitive) select the reference path, anything else —
-    /// including the variable being unset — selects the fast path.
-    pub fn from_env() -> Self {
-        Self {
-            fast_path: parse_fast_flag(std::env::var(TRAIN_FAST_ENV_VAR).ok().as_deref()),
-        }
-    }
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self::fast()
-    }
-}
-
 /// Environment variable read by [`KernelConfig::from_env`]: set to
 /// `reference`, `ref`, or `scalar` (case-insensitive) to pin the
 /// execution-tier kernels ([`hypervector::tier`]) to the scalar reference
@@ -797,9 +656,9 @@ pub const KERNEL_TIER_ENV_VAR: &str = "ROBUSTHD_KERNEL_TIER";
 /// wide-lane `Wide` tier behind every Hamming, majority, and codebook-XOR
 /// kernel.
 ///
-/// Like [`EncodeConfig`] and [`TrainConfig`], this is a pure throughput
-/// knob: both tiers compute exact integer popcounts and identical bit
-/// patterns, which the differential suite
+/// Like [`BatchConfig`], this is a pure throughput knob: both tiers
+/// compute exact integer popcounts and identical bit patterns, which the
+/// differential suite
 /// (`crates/core/tests/tier_differential.rs`) pins kernel by kernel — so
 /// the flag can never change a prediction, a similarity, or a trained
 /// model, only how fast they are produced.
@@ -958,9 +817,9 @@ pub const ADV_SEED_ENV_VAR: &str = "ROBUSTHD_ADV_SEED";
 /// candidate batch width of the greedy margin-guided search and the base
 /// seed of every seeded mutation stream.
 ///
-/// Unlike [`EncodeConfig`]/[`TrainConfig`] this is not a fast/reference
-/// switch — both knobs change *which adversarial examples are found*, not
-/// how a fixed computation is executed. What is pinned by the advsim
+/// Unlike [`KernelConfig`] this is not a fast/reference switch — both
+/// knobs change *which adversarial examples are found*, not how a fixed
+/// computation is executed. What is pinned by the advsim
 /// property suites instead: for a fixed `AdvConfig` the whole search is a
 /// pure function of its inputs (bit-identical outcomes at any thread
 /// count, because every candidate batch is scored through the
@@ -1047,7 +906,7 @@ pub const FLEET_BUDGET_BYTES_ENV_VAR: &str = "ROBUSTHD_FLEET_BUDGET_BYTES";
 /// compressed model representation (O(log C) composite class vectors with
 /// a decode-at-score path) for tenants served through the plain router.
 /// LogHD is lossy — the fleet differential suite quantifies the accuracy
-/// delta — so unlike every other fast path it is opt-in, not opt-out.
+/// delta — so unlike the throughput knobs it is opt-in.
 pub const FLEET_LOGHD_ENV_VAR: &str = "ROBUSTHD_FLEET_LOGHD";
 
 /// Tuning of the multi-tenant model fleet registry ([`crate::fleet`]): the
@@ -1161,8 +1020,8 @@ impl FleetConfigBuilder {
 
 /// Parses an opt-in boolean flag: only `1`/`true`/`on`/`yes`
 /// (case-insensitive, whitespace-trimmed) enable it; everything else —
-/// including unset — stays off. The mirror image of [`parse_fast_flag`],
-/// for behaviour that changes answers and therefore must be asked for.
+/// including unset — stays off. For behaviour that changes answers and
+/// therefore must be asked for.
 fn parse_opt_in_flag(raw: Option<&str>) -> bool {
     match raw {
         Some(value) => matches!(
@@ -1358,33 +1217,6 @@ impl FlagRegistry {
                       a pure throughput knob, results are bit-identical at any value.",
                 raw: std::env::var(THREADS_ENV_VAR).ok(),
                 effective: BatchConfig::from_env().threads.to_string(),
-            },
-            FlagInfo {
-                name: ENCODE_FAST_ENV_VAR,
-                owner: "EncodeConfig",
-                default: "fast",
-                doc: "Set to 0/false/off/no to swap the bit-sliced encoding fast path \
-                      for the scalar reference loop; both paths are bit-identical.",
-                raw: std::env::var(ENCODE_FAST_ENV_VAR).ok(),
-                effective: if EncodeConfig::from_env().fast_path {
-                    "fast".to_owned()
-                } else {
-                    "reference".to_owned()
-                },
-            },
-            FlagInfo {
-                name: TRAIN_FAST_ENV_VAR,
-                owner: "TrainConfig",
-                default: "fast",
-                doc: "Set to 0/false/off/no to swap the sharded bit-sliced training \
-                      engine for the sequential scalar trainer; both paths are \
-                      bit-identical.",
-                raw: std::env::var(TRAIN_FAST_ENV_VAR).ok(),
-                effective: if TrainConfig::from_env().fast_path {
-                    "fast".to_owned()
-                } else {
-                    "reference".to_owned()
-                },
             },
             FlagInfo {
                 name: KERNEL_TIER_ENV_VAR,
@@ -1682,39 +1514,11 @@ mod tests {
     }
 
     #[test]
-    fn encode_config_defaults_fast() {
-        assert!(EncodeConfig::default().fast_path);
-        assert!(EncodeConfig::fast().fast_path);
-        assert!(!EncodeConfig::reference().fast_path);
-    }
-
-    #[test]
-    fn encode_env_values_parse_as_opt_out() {
-        assert!(!parse_fast_flag(Some("0")));
-        assert!(!parse_fast_flag(Some("false")));
-        assert!(!parse_fast_flag(Some(" OFF ")));
-        assert!(!parse_fast_flag(Some("no")));
-        assert!(parse_fast_flag(Some("1")));
-        assert!(parse_fast_flag(Some("true")));
-        assert!(parse_fast_flag(Some("anything")));
-        assert!(parse_fast_flag(None));
-    }
-
-    #[test]
-    fn train_config_defaults_fast() {
-        assert!(TrainConfig::default().fast_path);
-        assert!(TrainConfig::fast().fast_path);
-        assert!(!TrainConfig::reference().fast_path);
-    }
-
-    #[test]
     fn flag_registry_covers_every_env_var_const() {
         let flags = FlagRegistry::flags();
         let names: Vec<&str> = flags.iter().map(|f| f.name).collect();
         for expected in [
             THREADS_ENV_VAR,
-            ENCODE_FAST_ENV_VAR,
-            TRAIN_FAST_ENV_VAR,
             KERNEL_TIER_ENV_VAR,
             ADV_CANDIDATES_ENV_VAR,
             ADV_SEED_ENV_VAR,
@@ -1726,7 +1530,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "{expected} not registered");
         }
-        assert_eq!(names.len(), 11, "new flags must be registered exactly once");
+        assert_eq!(names.len(), 9, "new flags must be registered exactly once");
     }
 
     #[test]

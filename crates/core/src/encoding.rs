@@ -13,20 +13,20 @@
 //! # The encoding fast path
 //!
 //! Encoding dominated the raw-features→prediction cost once scoring went
-//! word-parallel (DESIGN.md §11), so [`RecordEncoder`] ships two
-//! bit-identical execution paths selected by [`EncodeConfig`]:
+//! word-parallel (DESIGN.md §11), so [`RecordEncoder`] encodes through a
+//! fast path with a bit-identical scalar oracle beside it:
 //!
-//! * **fast** (default): a precomputed *bound-pair codebook*
+//! * **fast** ([`Encoder::encode`]): a precomputed *bound-pair codebook*
 //!   `P[k][v] = B_k ⊕ L_v` turns each feature into one packed-word lookup
 //!   (no per-feature bind, no allocation), and bundling runs through the
 //!   bit-sliced carry-save majority kernel
 //!   ([`hypervector::CarrySaveMajority`]) — amortized `O(F)` word ops per
 //!   64-dimension word instead of the scalar loop's `O(64·F)`.
-//! * **reference**: the original per-feature bind into a scalar
-//!   [`BundleAccumulator`], kept as the semantic definition the
-//!   differential suite compares against.
+//! * **reference** ([`RecordEncoder::encode_reference`]): the original
+//!   per-feature bind into a scalar [`BundleAccumulator`], kept as the
+//!   semantic definition the differential suite compares against.
 
-use crate::config::{EncodeConfig, HdcConfig};
+use crate::config::HdcConfig;
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, BundleAccumulator, CarrySaveMajority, PackedBits};
 
@@ -84,11 +84,10 @@ pub struct RecordEncoder {
     bases: Vec<BinaryHypervector>,
     levels: Vec<BinaryHypervector>,
     /// Bound-pair codebook `pairs[k * levels + v] = B_k ⊕ L_v`, built once
-    /// at construction when the fast path is enabled. Costs
-    /// `features × levels × D` bits of memory (e.g. 16 features × 64 levels
-    /// × 8192 dims = 1 MiB) to make every encode a pure packed-word lookup
-    /// with zero per-feature allocation.
-    pairs: Option<Vec<BinaryHypervector>>,
+    /// at construction. Costs `features × levels × D` bits of memory (e.g.
+    /// 16 features × 64 levels × 8192 dims = 1 MiB) to make every encode a
+    /// pure packed-word lookup with zero per-feature allocation.
+    pairs: Vec<BinaryHypervector>,
     dim: usize,
 }
 
@@ -96,28 +95,17 @@ impl RecordEncoder {
     /// Builds the encoder's base and level hypervector codebooks for
     /// `features` input features, using the default *locally correlated*
     /// level chain (distant values near-orthogonal — see DESIGN.md §8,
-    /// finding 3). The execution path comes from [`EncodeConfig::from_env`]
-    /// (fast unless `ROBUSTHD_ENCODE_FAST` opts out).
+    /// finding 3).
     ///
     /// # Panics
     ///
     /// Panics if `features` is zero.
     pub fn new(config: &HdcConfig, features: usize) -> Self {
-        Self::with_encode_config(config, features, EncodeConfig::from_env())
-    }
-
-    /// Builds the encoder with an explicit execution-path choice (used by
-    /// the differential suite to pin the fast or reference path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is zero.
-    pub fn with_encode_config(config: &HdcConfig, features: usize, encode: EncodeConfig) -> Self {
         assert!(features > 0, "encoder needs at least one feature");
         let mut sampler = HypervectorSampler::seed_from(config.seed);
         let bases = sampler.base_set(features, config.dimension);
         let levels = sampler.level_set(config.levels, config.dimension, config.level_correlation);
-        Self::assemble(bases, levels, config.dimension, encode)
+        Self::assemble(bases, levels, config.dimension)
     }
 
     /// Builds the encoder with the classic *linear* (thermometer) level
@@ -136,51 +124,53 @@ impl RecordEncoder {
         let mut sampler = HypervectorSampler::seed_from(config.seed);
         let bases = sampler.base_set(features, config.dimension);
         let levels = sampler.level_set_linear(config.levels, config.dimension);
-        Self::assemble(bases, levels, config.dimension, EncodeConfig::from_env())
+        Self::assemble(bases, levels, config.dimension)
     }
 
-    fn assemble(
-        bases: Vec<BinaryHypervector>,
-        levels: Vec<BinaryHypervector>,
-        dim: usize,
-        encode: EncodeConfig,
-    ) -> Self {
-        let mut encoder = Self {
-            bases,
-            levels,
-            pairs: None,
-            dim,
-        };
-        encoder.set_fast_path(encode.fast_path);
-        encoder
-    }
-
-    /// Enables or disables the bound-pair fast path. Enabling (re)builds
-    /// the codebook from the base and level sets; disabling drops it and
-    /// falls back to the scalar reference loop. Results are identical
-    /// either way.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        if !enabled {
-            self.pairs = None;
-            return;
-        }
-        if self.pairs.is_some() {
-            return;
-        }
-        let mut pairs = Vec::with_capacity(self.bases.len() * self.levels.len());
-        let mut scratch = BinaryHypervector::zeros(self.dim);
-        for base in &self.bases {
-            for level in &self.levels {
+    fn assemble(bases: Vec<BinaryHypervector>, levels: Vec<BinaryHypervector>, dim: usize) -> Self {
+        let mut pairs = Vec::with_capacity(bases.len() * levels.len());
+        let mut scratch = BinaryHypervector::zeros(dim);
+        for base in &bases {
+            for level in &levels {
                 base.bind_into(level, &mut scratch);
                 pairs.push(scratch.clone());
             }
         }
-        self.pairs = Some(pairs);
+        Self {
+            bases,
+            levels,
+            pairs,
+            dim,
+        }
     }
 
-    /// Whether the bound-pair fast path is active.
-    pub fn fast_path(&self) -> bool {
-        self.pairs.is_some()
+    /// The scalar reference encoding: per-feature bind into a
+    /// [`BundleAccumulator`]. Bit-identical to [`Encoder::encode`]; kept as
+    /// the oracle the differential suites and benchmarks compare against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != self.features()`.
+    pub fn encode_reference(&self, features: &[f64]) -> BinaryHypervector {
+        self.check_features(features);
+        let mut acc = BundleAccumulator::new(self.dim);
+        let mut bound = BinaryHypervector::zeros(self.dim);
+        for (k, &value) in features.iter().enumerate() {
+            let level = &self.levels[self.level_index(value)];
+            self.bases[k].bind_into(level, &mut bound);
+            acc.add(&bound);
+        }
+        acc.to_binary()
+    }
+
+    fn check_features(&self, features: &[f64]) {
+        assert_eq!(
+            features.len(),
+            self.bases.len(),
+            "expected {} features, got {}",
+            self.bases.len(),
+            features.len()
+        );
     }
 
     /// Quantizes a normalized feature into a level index.
@@ -211,34 +201,16 @@ impl Encoder for RecordEncoder {
 
     // audit:allow(panic): level_index is clamped to the level table; k spans the asserted feature count
     fn encode(&self, features: &[f64]) -> BinaryHypervector {
-        assert_eq!(
-            features.len(),
-            self.bases.len(),
-            "expected {} features, got {}",
-            self.bases.len(),
-            features.len()
-        );
-        if let Some(pairs) = &self.pairs {
-            // Fast path: one codebook lookup + carry-save word adds per
-            // feature. No binds, no per-feature allocation.
-            let mut acc = CarrySaveMajority::new(self.dim);
-            let levels = self.levels.len();
-            for (k, &value) in features.iter().enumerate() {
-                let pair = &pairs[k * levels + self.level_index(value)];
-                acc.add_words(pair.bits().words());
-            }
-            acc.to_binary()
-        } else {
-            // Reference path: scalar counters, scratch-reused bind.
-            let mut acc = BundleAccumulator::new(self.dim);
-            let mut bound = BinaryHypervector::zeros(self.dim);
-            for (k, &value) in features.iter().enumerate() {
-                let level = &self.levels[self.level_index(value)];
-                self.bases[k].bind_into(level, &mut bound);
-                acc.add(&bound);
-            }
-            acc.to_binary()
+        self.check_features(features);
+        // One codebook lookup + carry-save word adds per feature. No binds,
+        // no per-feature allocation.
+        let mut acc = CarrySaveMajority::new(self.dim);
+        let levels = self.levels.len();
+        for (k, &value) in features.iter().enumerate() {
+            let pair = &self.pairs[k * levels + self.level_index(value)];
+            acc.add_words(pair.bits().words());
         }
+        acc.to_binary()
     }
 }
 
@@ -443,10 +415,7 @@ mod tests {
     fn fast_path_matches_reference_bit_for_bit() {
         // Non-multiple-of-64 dimension on purpose.
         let cfg = config(1000);
-        let fast = RecordEncoder::with_encode_config(&cfg, 7, EncodeConfig::fast());
-        let reference = RecordEncoder::with_encode_config(&cfg, 7, EncodeConfig::reference());
-        assert!(fast.fast_path());
-        assert!(!reference.fast_path());
+        let enc = RecordEncoder::new(&cfg, 7);
         let inputs = [
             vec![0.0; 7],
             vec![1.0; 7],
@@ -455,20 +424,8 @@ mod tests {
             vec![-0.2, 1.3, 0.01, 0.99, 0.49, 0.51, 0.33],
         ];
         for f in &inputs {
-            assert_eq!(fast.encode(f), reference.encode(f), "features {f:?}");
+            assert_eq!(enc.encode(f), enc.encode_reference(f), "features {f:?}");
         }
-    }
-
-    #[test]
-    fn toggling_fast_path_preserves_results() {
-        let cfg = config(513);
-        let mut enc = RecordEncoder::with_encode_config(&cfg, 4, EncodeConfig::fast());
-        let f = [0.1, 0.7, 0.3, 0.9];
-        let with_fast = enc.encode(&f);
-        enc.set_fast_path(false);
-        assert_eq!(enc.encode(&f), with_fast);
-        enc.set_fast_path(true);
-        assert_eq!(enc.encode(&f), with_fast);
     }
 
     #[test]

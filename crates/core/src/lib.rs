@@ -32,15 +32,15 @@
 //!    points (`predict_raw_batch`, `evaluate_raw_batch`,
 //!    [`supervisor::ResilienceSupervisor::serve_raw_batch`]) run
 //!    encode→score end to end without materializing intermediate
-//!    hypervector batches. Toggle with `ROBUSTHD_ENCODE_FAST`
-//!    ([`EncodeConfig`]); results are bit-identical either way.
+//!    hypervector batches. Results are bit-identical to the scalar
+//!    oracle [`RecordEncoder::encode_reference`].
 //! 7. **Parallel bit-sliced training** — one-shot bundling shards samples
 //!    across the batch engine's workers into carry-save bit-plane partials
 //!    and retraining epochs batch-score against the frozen per-epoch
 //!    snapshot ([`train`]); every `fit`/`train` entry point routes through
-//!    it. Toggle with `ROBUSTHD_TRAIN_FAST` ([`TrainConfig`]); the trained
-//!    model — down to the raw accumulator counts — is bit-identical either
-//!    way, at any thread count.
+//!    it. The trained model — down to the raw accumulator counts — is
+//!    bit-identical to the sequential oracle
+//!    [`train::train_accumulators_reference`], at any thread count.
 //! 8. **Network serving** — the `robusthd-serve` crate wraps
 //!    [`supervisor::ResilienceSupervisor::serve_raw_batch_with_scores`] in
 //!    a TCP daemon whose request coalescer micro-batches concurrent
@@ -86,13 +86,12 @@ mod pipeline;
 pub use batch::{BatchEngine, BatchScore};
 pub use confidence::Confidence;
 pub use config::{
-    AdvConfig, BatchConfig, BatchConfigBuilder, ConfigError, EncodeConfig, EscalationLevel,
-    FlagInfo, FlagRegistry, FleetConfig, FleetConfigBuilder, HdcConfig, HdcConfigBuilder,
-    KernelConfig, RecoveryConfig, RecoveryConfigBuilder, ServeConfig, ServeConfigBuilder,
-    SubstitutionMode, SupervisorConfig, SupervisorConfigBuilder, TrainConfig,
-    ADV_CANDIDATES_ENV_VAR, ADV_SEED_ENV_VAR, ENCODE_FAST_ENV_VAR, FLEET_BUDGET_BYTES_ENV_VAR,
-    FLEET_LOGHD_ENV_VAR, KERNEL_TIER_ENV_VAR, SERVE_MAX_BATCH_ENV_VAR, SERVE_QUEUE_DEPTH_ENV_VAR,
-    SERVE_WINDOW_ENV_VAR, THREADS_ENV_VAR, TRAIN_FAST_ENV_VAR,
+    AdvConfig, BatchConfig, BatchConfigBuilder, ConfigError, EscalationLevel, FlagInfo,
+    FlagRegistry, FleetConfig, FleetConfigBuilder, HdcConfig, HdcConfigBuilder, KernelConfig,
+    RecoveryConfig, RecoveryConfigBuilder, ServeConfig, ServeConfigBuilder, SubstitutionMode,
+    SupervisorConfig, SupervisorConfigBuilder, ADV_CANDIDATES_ENV_VAR, ADV_SEED_ENV_VAR,
+    FLEET_BUDGET_BYTES_ENV_VAR, FLEET_LOGHD_ENV_VAR, KERNEL_TIER_ENV_VAR, SERVE_MAX_BATCH_ENV_VAR,
+    SERVE_QUEUE_DEPTH_ENV_VAR, SERVE_WINDOW_ENV_VAR, THREADS_ENV_VAR,
 };
 pub use encoding::{Encoder, RandomProjectionEncoder, RecordEncoder};
 pub use fleet::{FleetAnswer, FleetError, FleetStats, LogHdModel, ModelRegistry};

@@ -2,7 +2,7 @@
 //! the raw memory image that fault injection targets.
 
 use crate::batch::BatchEngine;
-use crate::config::{HdcConfig, TrainConfig};
+use crate::config::HdcConfig;
 use hypervector::similarity::PackedClasses;
 use hypervector::{BinaryHypervector, BundleAccumulator, IntHypervector, PackedBits, Precision};
 use serde::{Deserialize, Serialize};
@@ -80,8 +80,7 @@ impl TrainedModel {
     ///
     /// Runs through the parallel bit-sliced training engine
     /// ([`crate::train`]) configured from the environment
-    /// (`ROBUSTHD_TRAIN_FAST`, `ROBUSTHD_THREADS`); the result is
-    /// bit-identical at any setting.
+    /// (`ROBUSTHD_THREADS`); the result is bit-identical at any setting.
     ///
     /// # Panics
     ///
@@ -98,15 +97,14 @@ impl TrainedModel {
             labels,
             num_classes,
             config,
-            &TrainConfig::from_env(),
             &BatchEngine::from_env(),
         )
     }
 
-    /// [`TrainedModel::train`] with an explicit training path and batch
-    /// engine — the entry point for callers that already hold an engine
-    /// (the pipeline and stream classifiers) and for differential tests
-    /// pinning the fast and reference paths against each other.
+    /// [`TrainedModel::train`] with an explicit batch engine — the entry
+    /// point for callers that already hold an engine (the pipeline and
+    /// stream classifiers) and for differential tests pinning thread
+    /// counts.
     ///
     /// # Panics
     ///
@@ -116,11 +114,10 @@ impl TrainedModel {
         labels: &[usize],
         num_classes: usize,
         config: &HdcConfig,
-        train: &TrainConfig,
         engine: &BatchEngine,
     ) -> Self {
         let accumulators =
-            crate::train::train_accumulators(encoded, labels, num_classes, config, train, engine);
+            crate::train::train_accumulators(encoded, labels, num_classes, config, engine);
         Self::from_accumulators(&accumulators)
     }
 
@@ -318,13 +315,12 @@ impl IntModel {
             num_classes,
             config,
             precision,
-            &TrainConfig::from_env(),
             &BatchEngine::from_env(),
         )
     }
 
-    /// [`IntModel::train`] with an explicit training path and batch engine
-    /// (see [`TrainedModel::train_with`]).
+    /// [`IntModel::train`] with an explicit batch engine (see
+    /// [`TrainedModel::train_with`]).
     ///
     /// # Panics
     ///
@@ -335,11 +331,10 @@ impl IntModel {
         num_classes: usize,
         config: &HdcConfig,
         precision: Precision,
-        train: &TrainConfig,
         engine: &BatchEngine,
     ) -> Self {
         let accumulators =
-            crate::train::train_accumulators(encoded, labels, num_classes, config, train, engine);
+            crate::train::train_accumulators(encoded, labels, num_classes, config, engine);
         let classes: Vec<IntHypervector> =
             accumulators.iter().map(|a| a.to_int(precision)).collect();
         let dim = classes[0].dim();

@@ -82,14 +82,7 @@ impl HdcClassifier {
         let rows: Vec<&[f64]> = train.iter().map(|s| s.features()).collect();
         let encoded = batch.encode_batch(&encoder, &rows);
         let labels: Vec<_> = train.iter().map(|s| s.label()).collect();
-        let model = TrainedModel::train_with(
-            &encoded,
-            &labels,
-            num_classes,
-            config,
-            &crate::TrainConfig::from_env(),
-            &batch,
-        );
+        let model = TrainedModel::train_with(&encoded, &labels, num_classes, config, &batch);
         Self {
             encoder,
             model,

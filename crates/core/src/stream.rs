@@ -12,7 +12,7 @@
 //! [`crate::RecoveryEngine`].
 
 use crate::batch::BatchEngine;
-use crate::config::{BatchConfig, HdcConfig, TrainConfig};
+use crate::config::{BatchConfig, HdcConfig};
 use crate::model::TrainedModel;
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, SequenceEncoder};
@@ -84,14 +84,7 @@ impl StreamClassifier {
         let labels: Vec<usize> = streams.iter().map(|(_, l)| *l).collect();
         let num_classes = labels.iter().copied().max().expect("non-empty") + 1;
         let batch = BatchEngine::from_env();
-        let model = TrainedModel::train_with(
-            &encoded,
-            &labels,
-            num_classes,
-            config,
-            &TrainConfig::from_env(),
-            &batch,
-        );
+        let model = TrainedModel::train_with(&encoded, &labels, num_classes, config, &batch);
         Self {
             encoder,
             model,
@@ -278,14 +271,7 @@ impl MultichannelStreamClassifier {
             .collect();
         let labels: Vec<usize> = streams.iter().map(|(_, l)| *l).collect();
         let num_classes = labels.iter().copied().max().expect("non-empty") + 1;
-        this.model = TrainedModel::train_with(
-            &encoded,
-            &labels,
-            num_classes,
-            config,
-            &TrainConfig::from_env(),
-            &this.batch,
-        );
+        this.model = TrainedModel::train_with(&encoded, &labels, num_classes, config, &this.batch);
         this.num_classes = num_classes;
         this
     }

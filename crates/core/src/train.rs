@@ -24,12 +24,14 @@
 //!   thread count. The shuffle RNG is consumed identically on both paths
 //!   (one shuffle per epoch, drawn before the early-exit check).
 //!
-//! The differential suite (`crates/core/tests/train_differential.rs`)
-//! pins fast == reference down to the raw `i64` accumulator counts across
-//! thread counts, epochs, and dimensions straddling word boundaries.
+//! [`train_accumulators_reference`] keeps the sequential scalar trainer as
+//! the oracle: the differential suite
+//! (`crates/core/tests/train_differential.rs`) pins the two equal down to
+//! the raw `i64` accumulator counts across thread counts, epochs, and
+//! dimensions straddling word boundaries.
 
 use crate::batch::BatchEngine;
-use crate::config::{HdcConfig, TrainConfig};
+use crate::config::HdcConfig;
 use crate::model::TrainedModel;
 use hypervector::{BinaryHypervector, BundleAccumulator, CarrySaveMajority};
 use rand::rngs::StdRng;
@@ -37,10 +39,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Shared training core: one-shot bundling plus perceptron retraining over
-/// the accumulators. `train.fast_path` selects the parallel bit-sliced
-/// engine or the sequential scalar reference loop — the returned
-/// accumulators (and therefore the thresholded model) are bit-identical
-/// either way.
+/// the accumulators, through the parallel bit-sliced engine. The returned
+/// accumulators are bit-identical to [`train_accumulators_reference`] at
+/// any thread count.
 ///
 /// Public so the differential suite can compare raw accumulator counts,
 /// not just the thresholded models.
@@ -54,9 +55,40 @@ pub fn train_accumulators(
     labels: &[usize],
     num_classes: usize,
     config: &HdcConfig,
-    train: &TrainConfig,
     engine: &BatchEngine,
 ) -> Vec<BundleAccumulator> {
+    let dim = check_inputs(encoded, labels, num_classes);
+    let accumulators = bundle_sharded(encoded, labels, num_classes, dim, engine);
+    // The snapshot is frozen for the whole epoch, so each sample's
+    // prediction is independent of the epoch's updates: score the entire
+    // epoch in parallel up front.
+    retrain(accumulators, encoded, labels, config, |snapshot| {
+        engine.predict_batch(snapshot, encoded)
+    })
+}
+
+/// The sequential scalar reference trainer: one [`BundleAccumulator::add`]
+/// per sample, then one [`TrainedModel::predict`] per sample per epoch.
+/// The oracle [`train_accumulators`] is compared against.
+///
+/// # Panics
+///
+/// Same conditions as [`train_accumulators`].
+pub fn train_accumulators_reference(
+    encoded: &[BinaryHypervector],
+    labels: &[usize],
+    num_classes: usize,
+    config: &HdcConfig,
+) -> Vec<BundleAccumulator> {
+    let dim = check_inputs(encoded, labels, num_classes);
+    let accumulators = bundle_reference(encoded, labels, num_classes, dim);
+    retrain(accumulators, encoded, labels, config, |snapshot| {
+        encoded.iter().map(|hv| snapshot.predict(hv)).collect()
+    })
+}
+
+/// Validates the training inputs and returns their common dimension.
+fn check_inputs(encoded: &[BinaryHypervector], labels: &[usize], num_classes: usize) -> usize {
     assert!(!encoded.is_empty(), "training set must not be empty");
     assert_eq!(
         encoded.len(),
@@ -71,45 +103,34 @@ pub fn train_accumulators(
     for (i, &l) in labels.iter().enumerate() {
         assert!(l < num_classes, "label {l} of sample {i} out of range");
     }
+    dim
+}
 
-    // One-shot bundling.
-    let mut accumulators = if train.fast_path {
-        bundle_sharded(encoded, labels, num_classes, dim, engine)
-    } else {
-        bundle_reference(encoded, labels, num_classes, dim)
-    };
-
-    // Perceptron-style retraining against a per-epoch binary snapshot. The
-    // snapshot is frozen for the whole epoch, so each sample's prediction
-    // is independent of the epoch's updates — the fast path scores the
-    // entire epoch in parallel up front, then applies updates sequentially
-    // in the identical shuffle order.
+/// Perceptron-style retraining against a per-epoch binary snapshot:
+/// `predict_epoch` scores every sample against the frozen snapshot, then
+/// the add/subtract updates apply sequentially in the epoch's shuffle
+/// order.
+fn retrain(
+    mut accumulators: Vec<BundleAccumulator>,
+    encoded: &[BinaryHypervector],
+    labels: &[usize],
+    config: &HdcConfig,
+    predict_epoch: impl Fn(&TrainedModel) -> Vec<usize>,
+) -> Vec<BundleAccumulator> {
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x9e37_79b9));
     let mut order: Vec<usize> = (0..encoded.len()).collect();
     for _ in 0..config.retrain_epochs {
         let snapshot = TrainedModel::from_accumulators(&accumulators);
         order.shuffle(&mut rng);
+        let predictions = predict_epoch(&snapshot);
         let mut mistakes = 0usize;
-        if train.fast_path {
-            let predictions = engine.predict_batch(&snapshot, encoded);
-            for &idx in &order {
-                let predicted = predictions[idx];
-                let truth = labels[idx];
-                if predicted != truth {
-                    accumulators[truth].add(&encoded[idx]);
-                    accumulators[predicted].subtract(&encoded[idx]);
-                    mistakes += 1;
-                }
-            }
-        } else {
-            for &idx in &order {
-                let predicted = snapshot.predict(&encoded[idx]);
-                let truth = labels[idx];
-                if predicted != truth {
-                    accumulators[truth].add(&encoded[idx]);
-                    accumulators[predicted].subtract(&encoded[idx]);
-                    mistakes += 1;
-                }
+        for &idx in &order {
+            let predicted = predictions[idx];
+            let truth = labels[idx];
+            if predicted != truth {
+                accumulators[truth].add(&encoded[idx]);
+                accumulators[predicted].subtract(&encoded[idx]);
+                mistakes += 1;
             }
         }
         if mistakes == 0 {
@@ -199,14 +220,7 @@ mod tests {
             .retrain_epochs(2)
             .build()
             .expect("valid");
-        let reference = train_accumulators(
-            &encoded,
-            &labels,
-            3,
-            &config,
-            &TrainConfig::reference(),
-            &BatchEngine::new(BatchConfig::builder().threads(1).build().expect("valid")),
-        );
+        let reference = train_accumulators_reference(&encoded, &labels, 3, &config);
         for threads in [1, 4] {
             let engine = BatchEngine::new(
                 BatchConfig::builder()
@@ -215,8 +229,7 @@ mod tests {
                     .build()
                     .expect("valid"),
             );
-            let fast =
-                train_accumulators(&encoded, &labels, 3, &config, &TrainConfig::fast(), &engine);
+            let fast = train_accumulators(&encoded, &labels, 3, &config, &engine);
             assert_eq!(fast, reference, "threads={threads}");
         }
     }
@@ -224,13 +237,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_training_set_panics() {
-        train_accumulators(
-            &[],
-            &[],
-            1,
-            &HdcConfig::default(),
-            &TrainConfig::fast(),
-            &BatchEngine::from_env(),
-        );
+        train_accumulators(&[], &[], 1, &HdcConfig::default(), &BatchEngine::from_env());
     }
 }

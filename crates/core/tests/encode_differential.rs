@@ -1,14 +1,14 @@
 //! Differential suite for the encoding fast path: the bound-pair codebook +
 //! carry-save majority kernel must reproduce the scalar reference encoder
-//! bit for bit — through encodings, trained models, fused batch serving
+//! (`RecordEncoder::encode_reference`) bit for bit — through encodings, trained models, fused batch serving
 //! (down to `f64::to_bits` on every confidence), and the resilience
 //! supervisor's raw-serving loop — across thread counts and
 //! non-multiple-of-64 dimensions.
 
 use robusthd::supervisor::ResilienceSupervisor;
 use robusthd::{
-    BatchConfig, BatchEngine, EncodeConfig, Encoder, HdcConfig, RecordEncoder, RecoveryConfig,
-    SubstitutionMode, SupervisorConfig, TrainedModel,
+    BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, RecoveryConfig, SubstitutionMode,
+    SupervisorConfig, TrainedModel,
 };
 
 /// Deterministic pseudo-random feature rows in `[0, 1]`, including exact
@@ -35,16 +35,30 @@ fn feature_rows(count: usize, features: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn encoder_pair(dim: usize, features: usize, seed: u64) -> (RecordEncoder, RecordEncoder) {
-    let cfg = HdcConfig::builder()
+fn config(dim: usize, seed: u64) -> HdcConfig {
+    HdcConfig::builder()
         .dimension(dim)
         .seed(seed)
         .build()
-        .expect("valid");
-    let fast = RecordEncoder::with_encode_config(&cfg, features, EncodeConfig::fast());
-    let reference = RecordEncoder::with_encode_config(&cfg, features, EncodeConfig::reference());
-    assert!(fast.fast_path() && !reference.fast_path());
-    (fast, reference)
+        .expect("valid")
+}
+
+/// The encoder under both level chains: the default locally correlated
+/// one and the linear (thermometer) one the ablation uses.
+fn encoders(dim: usize, features: usize, seed: u64) -> [RecordEncoder; 2] {
+    let cfg = config(dim, seed);
+    [
+        RecordEncoder::new(&cfg, features),
+        RecordEncoder::with_linear_levels(&cfg, features),
+    ]
+}
+
+fn assert_encodings_agree(encoder: &RecordEncoder, row: &[f64], context: &str) {
+    assert_eq!(
+        encoder.encode(row),
+        encoder.encode_reference(row),
+        "{context} row={row:?}"
+    );
 }
 
 fn engine(threads: usize) -> BatchEngine {
@@ -64,13 +78,11 @@ fn encodings_agree_across_dims_and_feature_counts() {
     // cases in the majority threshold).
     for &dim in &[63usize, 64, 65, 1000, 2113] {
         for &features in &[1usize, 2, 4, 5, 64, 129] {
-            let (fast, reference) = encoder_pair(dim, features, 42);
-            for row in feature_rows(8, features, dim as u64) {
-                assert_eq!(
-                    fast.encode(&row),
-                    reference.encode(&row),
-                    "dim={dim} features={features} row={row:?}"
-                );
+            for (chain, encoder) in encoders(dim, features, 42).iter().enumerate() {
+                for row in feature_rows(8, features, dim as u64) {
+                    let context = format!("dim={dim} features={features} chain={chain}");
+                    assert_encodings_agree(encoder, &row, &context);
+                }
             }
         }
     }
@@ -82,14 +94,10 @@ fn tie_heavy_even_feature_counts_agree() {
     // by index parity — the hardest contract for the word-parallel
     // threshold. Constant rows maximize repeated level vectors.
     for &features in &[2usize, 4, 6, 64, 256] {
-        let (fast, reference) = encoder_pair(193, features, 7);
+        let encoder = RecordEncoder::new(&config(193, 7), features);
         for value in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let row = vec![value; features];
-            assert_eq!(
-                fast.encode(&row),
-                reference.encode(&row),
-                "features={features} value={value}"
-            );
+            assert_encodings_agree(&encoder, &row, &format!("features={features}"));
         }
     }
 }
@@ -98,24 +106,26 @@ fn tie_heavy_even_feature_counts_agree() {
 fn fused_serving_is_float_identical_across_threads() {
     let dim = 1000; // deliberately not a multiple of 64
     let features = 13;
-    let (fast, reference) = encoder_pair(dim, features, 3);
+    let cfg = config(dim, 3);
+    let encoder = RecordEncoder::new(&cfg, features);
     let rows = feature_rows(150, features, 9);
     let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
 
-    let cfg = HdcConfig::builder()
-        .dimension(dim)
-        .seed(3)
-        .build()
-        .expect("valid");
-    let encoded: Vec<_> = row_refs.iter().map(|r| fast.encode(r)).collect();
+    let reference_encoded: Vec<_> = row_refs
+        .iter()
+        .map(|r| encoder.encode_reference(r))
+        .collect();
     let labels: Vec<usize> = (0..rows.len()).map(|i| i % 4).collect();
-    let model = TrainedModel::train(&encoded, &labels, 4, &cfg);
+    let model = TrainedModel::train(&reference_encoded, &labels, 4, &cfg);
     let beta = cfg.softmax_beta;
 
-    let baseline = engine(1).evaluate_raw_batch(&reference, &model, &row_refs, beta);
+    let baseline = engine(1).evaluate_batch(&model, &reference_encoded, beta);
     for threads in [1usize, 4] {
-        for enc in [&fast, &reference] {
-            let scores = engine(threads).evaluate_raw_batch(enc, &model, &row_refs, beta);
+        let batch = engine(threads);
+        for scores in [
+            batch.evaluate_raw_batch(&encoder, &model, &row_refs, beta),
+            batch.evaluate_batch(&model, &reference_encoded, beta),
+        ] {
             assert_eq!(scores.len(), baseline.len());
             for (score, reference_score) in scores.iter().zip(&baseline) {
                 assert_eq!(score.predicted, reference_score.predicted);
@@ -144,25 +154,24 @@ fn fused_serving_is_float_identical_across_threads() {
 
 #[test]
 fn trained_models_are_identical_whichever_path_encoded_them() {
-    let (fast, reference) = encoder_pair(1000, 9, 11);
+    let cfg = config(1000, 11);
+    let encoder = RecordEncoder::new(&cfg, 9);
     let rows = feature_rows(120, 9, 13);
     let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
     let labels: Vec<usize> = (0..rows.len()).map(|i| i % 3).collect();
-    let cfg = HdcConfig::builder()
-        .dimension(1000)
-        .seed(11)
-        .build()
-        .expect("valid");
+    let reference_encoded: Vec<_> = row_refs
+        .iter()
+        .map(|r| encoder.encode_reference(r))
+        .collect();
+    let from_reference = TrainedModel::train(&reference_encoded, &labels, 3, &cfg);
 
     for threads in [1usize, 4] {
         let from_fast = TrainedModel::train(
-            &engine(threads).encode_batch(&fast, &row_refs),
+            &engine(threads).encode_batch(&encoder, &row_refs),
             &labels,
             3,
             &cfg,
         );
-        let from_reference =
-            TrainedModel::train(&reference.encode_batch_refs(&row_refs), &labels, 3, &cfg);
         assert_eq!(
             from_fast.to_memory_image().words(),
             from_reference.to_memory_image().words(),
@@ -191,12 +200,8 @@ fn supervisor_for(cfg: &HdcConfig) -> ResilienceSupervisor {
 fn supervisor_raw_serving_matches_encoded_serving() {
     let dim = 1000;
     let features = 10;
-    let cfg = HdcConfig::builder()
-        .dimension(dim)
-        .seed(21)
-        .build()
-        .expect("valid");
-    let encoder = RecordEncoder::with_encode_config(&cfg, features, EncodeConfig::fast());
+    let cfg = config(dim, 21);
+    let encoder = RecordEncoder::new(&cfg, features);
     let rows = feature_rows(90, features, 17);
     let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
     let encoded = encoder.encode_batch_refs(&row_refs);

@@ -1,20 +1,18 @@
 //! Differential suite for the parallel bit-sliced training engine: the
-//! fast path (`TrainConfig::fast`) must equal the sequential scalar
-//! reference path (`TrainConfig::reference`) **bit for bit** — not just
+//! fast path (`train_accumulators`) must equal the sequential scalar
+//! oracle (`train_accumulators_reference`) **bit for bit** — not just
 //! the thresholded model, but the raw `i64` accumulator counts — across
 //! thread counts, shard sizes, retrain epochs, and dimensions straddling
 //! word boundaries.
 //!
-//! This is what lets `ROBUSTHD_TRAIN_FAST` / `ROBUSTHD_THREADS` be pure
-//! throughput knobs: the CI matrix runs this whole suite under several
-//! `ROBUSTHD_THREADS` values and every assertion must hold unchanged.
+//! This is what lets `ROBUSTHD_THREADS` be a pure throughput knob: the CI
+//! matrix runs this whole suite under several `ROBUSTHD_THREADS` values
+//! and every assertion must hold unchanged.
 
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, Precision};
-use robusthd::train::train_accumulators;
-use robusthd::{
-    BatchConfig, BatchEngine, HdcClassifier, HdcConfig, IntModel, TrainConfig, TrainedModel,
-};
+use robusthd::train::{train_accumulators, train_accumulators_reference};
+use robusthd::{BatchConfig, BatchEngine, HdcClassifier, HdcConfig, IntModel, TrainedModel};
 
 /// Dimensions deliberately straddling 64-bit word boundaries.
 const DIMS: &[usize] = &[127, 192, 193, 1000];
@@ -66,23 +64,9 @@ fn accumulators_match_across_threads_epochs_and_dims() {
         let (encoded, labels) = toy_task(4, 60, dim, 0.42, dim as u64);
         for epochs in [0usize, 1, 5] {
             let cfg = config(dim, epochs, 7);
-            let reference = train_accumulators(
-                &encoded,
-                &labels,
-                4,
-                &cfg,
-                &TrainConfig::reference(),
-                &engine(1, 32),
-            );
+            let reference = train_accumulators_reference(&encoded, &labels, 4, &cfg);
             for threads in [1usize, 2, 4, 8] {
-                let fast = train_accumulators(
-                    &encoded,
-                    &labels,
-                    4,
-                    &cfg,
-                    &TrainConfig::fast(),
-                    &engine(threads, 7),
-                );
+                let fast = train_accumulators(&encoded, &labels, 4, &cfg, &engine(threads, 7));
                 assert_eq!(
                     fast.len(),
                     reference.len(),
@@ -112,23 +96,12 @@ fn trained_models_are_bit_identical() {
         let (encoded, labels) = toy_task(3, 45, dim, 0.4, 100 + dim as u64);
         for epochs in [0usize, 1, 5] {
             let cfg = config(dim, epochs, 3);
-            let reference = TrainedModel::train_with(
-                &encoded,
-                &labels,
-                3,
-                &cfg,
-                &TrainConfig::reference(),
-                &engine(1, 32),
-            );
+            let reference = TrainedModel::from_accumulators(&train_accumulators_reference(
+                &encoded, &labels, 3, &cfg,
+            ));
             for threads in [1usize, 4] {
-                let fast = TrainedModel::train_with(
-                    &encoded,
-                    &labels,
-                    3,
-                    &cfg,
-                    &TrainConfig::fast(),
-                    &engine(threads, 8),
-                );
+                let fast =
+                    TrainedModel::train_with(&encoded, &labels, 3, &cfg, &engine(threads, 8));
                 assert_eq!(
                     fast, reference,
                     "dim={dim} epochs={epochs} threads={threads}"
@@ -151,26 +124,13 @@ fn int_models_are_bit_identical() {
     for &bits in &[1u8, 2, 4] {
         let p = Precision::new(bits).expect("valid");
         let cfg = config(193, 3, 9);
-        let reference = IntModel::train_with(
-            &encoded,
-            &labels,
-            3,
-            &cfg,
-            p,
-            &TrainConfig::reference(),
-            &engine(1, 32),
-        );
+        let reference: Vec<_> = train_accumulators_reference(&encoded, &labels, 3, &cfg)
+            .iter()
+            .map(|a| a.to_int(p))
+            .collect();
         for threads in [1usize, 4] {
-            let fast = IntModel::train_with(
-                &encoded,
-                &labels,
-                3,
-                &cfg,
-                p,
-                &TrainConfig::fast(),
-                &engine(threads, 5),
-            );
-            assert_eq!(fast, reference, "bits={bits} threads={threads}");
+            let fast = IntModel::train_with(&encoded, &labels, 3, &cfg, p, &engine(threads, 5));
+            assert_eq!(fast.classes(), reference, "bits={bits} threads={threads}");
         }
     }
 }
@@ -187,23 +147,9 @@ fn epoch_early_exit_fires_identically_on_both_paths() {
     let mut per_budget = Vec::new();
     for &epochs in &budgets {
         let cfg = config(192, epochs, 13);
-        let reference = train_accumulators(
-            &encoded,
-            &labels,
-            3,
-            &cfg,
-            &TrainConfig::reference(),
-            &engine(1, 32),
-        );
+        let reference = train_accumulators_reference(&encoded, &labels, 3, &cfg);
         for threads in [1usize, 4] {
-            let fast = train_accumulators(
-                &encoded,
-                &labels,
-                3,
-                &cfg,
-                &TrainConfig::fast(),
-                &engine(threads, 4),
-            );
+            let fast = train_accumulators(&encoded, &labels, 3, &cfg, &engine(threads, 4));
             assert_eq!(fast, reference, "epochs={epochs} threads={threads}");
         }
         per_budget.push(reference);
@@ -222,24 +168,10 @@ fn training_is_deterministic_across_engine_tunings() {
     // path: every tuning must produce the same accumulators.
     let (encoded, labels) = toy_task(5, 70, 257, 0.35, 31);
     let cfg = config(257, 2, 17);
-    let baseline = train_accumulators(
-        &encoded,
-        &labels,
-        5,
-        &cfg,
-        &TrainConfig::fast(),
-        &engine(1, 32),
-    );
+    let baseline = train_accumulators(&encoded, &labels, 5, &cfg, &engine(1, 32));
     for threads in [2usize, 3, 8] {
         for shard in [1usize, 13, 64, 500] {
-            let other = train_accumulators(
-                &encoded,
-                &labels,
-                5,
-                &cfg,
-                &TrainConfig::fast(),
-                &engine(threads, shard),
-            );
+            let other = train_accumulators(&encoded, &labels, 5, &cfg, &engine(threads, shard));
             assert_eq!(other, baseline, "threads={threads} shard={shard}");
         }
     }
@@ -249,8 +181,8 @@ fn training_is_deterministic_across_engine_tunings() {
 fn pipeline_fit_matches_explicit_reference_train() {
     // End to end: HdcClassifier::fit (which routes through the engine
     // configured from the environment — the CI matrix varies
-    // ROBUSTHD_THREADS / ROBUSTHD_TRAIN_FAST over this very test) must
-    // equal an explicit reference-path retrain of the same encodings.
+    // ROBUSTHD_THREADS over this very test) must equal an explicit
+    // reference-oracle retrain of the same encodings.
     let train: Vec<(Vec<f64>, usize)> = (0..48)
         .map(|i| {
             let label = i % 3;
@@ -269,13 +201,7 @@ fn pipeline_fit_matches_explicit_reference_train() {
     let rows: Vec<&[f64]> = train.iter().map(|(f, _)| f.as_slice()).collect();
     let encoded = engine(1, 32).encode_batch(clf.encoder(), &rows);
     let labels: Vec<usize> = train.iter().map(|(_, l)| *l).collect();
-    let reference = TrainedModel::train_with(
-        &encoded,
-        &labels,
-        3,
-        &cfg,
-        &TrainConfig::reference(),
-        &engine(1, 32),
-    );
+    let reference =
+        TrainedModel::from_accumulators(&train_accumulators_reference(&encoded, &labels, 3, &cfg));
     assert_eq!(clf.model(), &reference);
 }

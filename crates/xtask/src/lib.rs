@@ -11,7 +11,7 @@
 //!    `forbid` would not cover.
 //! 2. **One birthplace for runtime flags** ([`lint_flags`]) — every
 //!    `ROBUSTHD_*` environment read lives in `crates/core/src/config.rs`
-//!    (the `FlagRegistry` / `parse_fast_flag` module); every `*_ENV_VAR`
+//!    (the `FlagRegistry` module); every `*_ENV_VAR`
 //!    constant is registered in `FlagRegistry::flags`; `README.md`
 //!    documents exactly the registered set (drift in either direction
 //!    fails); and the `robusthd flags` subcommand is wired to print the
@@ -19,8 +19,10 @@
 //! 3. **Fast/reference duality** ([`lint_duality`]) — every config
 //!    toggle in `config.rs` that owns a fast path (a `fast_path` field or
 //!    a `from_env` reader) is named by at least one `*_differential.rs`
-//!    or `*_props.rs` test, so no execution-path switch can exist without
-//!    a bit-exactness suite pinning it.
+//!    or `*_props.rs` test, and every public reference oracle
+//!    (`pub fn <fast>_reference`) is named *together with its fast `<fast>`
+//!    fn* by one such suite, so neither an execution-path switch nor an
+//!    oracle can exist without a bit-exactness suite pinning it.
 //! 4. **Hot-path hygiene** ([`lint_hygiene`]) — inside the kernel
 //!    modules ([`KERNEL_MODULES`]) and outside `#[cfg(test)]`: no
 //!    `.unwrap()` / `.expect(`, no bit-at-a-time `.get_bit(` /
@@ -314,7 +316,7 @@ pub fn lint_flags(ws: &Workspace) -> Vec<Diagnostic> {
                     line: lineno,
                     message: format!(
                         "environment reads must go through {FLAG_MODULE} \
-                         (parse_fast_flag / FlagRegistry), not ad-hoc env::var"
+                         (FlagRegistry), not ad-hoc env::var"
                     ),
                 });
             }
@@ -427,10 +429,50 @@ pub fn lint_flags(ws: &Workspace) -> Vec<Diagnostic> {
 }
 
 /// Invariant 3: every fast-path/config toggle is pinned by a
-/// differential or property test referencing it by name.
+/// differential or property test referencing it by name, and every public
+/// `<fast>_reference` oracle by a suite naming both it and `<fast>`.
 pub fn lint_duality(ws: &Workspace) -> Vec<Diagnostic> {
+    let suites: Vec<&SourceFile> = ws
+        .files
+        .iter()
+        .filter(|f| {
+            let p = f.path.to_string_lossy().replace('\\', "/");
+            p.contains("/tests/") && (p.ends_with("_differential.rs") || p.ends_with("_props.rs"))
+        })
+        .collect();
+    let names = |f: &SourceFile, word: &str| !word_occurrences(&f.nocomment, word).is_empty();
+    let mut out = Vec::new();
+    for file in &ws.files {
+        let p = file.path.to_string_lossy().replace('\\', "/");
+        if !p.contains("/src/") {
+            continue;
+        }
+        for at in word_occurrences(&file.code, "pub fn") {
+            let name: String = file.code[at + "pub fn".len()..]
+                .trim_start()
+                .bytes()
+                .take_while(|&b| is_ident_byte(b))
+                .map(char::from)
+                .collect();
+            let Some(fast) = name.strip_suffix("_reference").filter(|f| !f.is_empty()) else {
+                continue;
+            };
+            if !suites.iter().any(|f| names(f, &name) && names(f, fast)) {
+                out.push(Diagnostic {
+                    lint: "fast-duality",
+                    file: file.path.clone(),
+                    line: file.line_of(at),
+                    message: format!(
+                        "{name} is a reference oracle but no *_differential.rs or \
+                         *_props.rs test names it together with `{fast}` — every \
+                         oracle must be compared against its fast path"
+                    ),
+                });
+            }
+        }
+    }
     let Some(config) = ws.file(FLAG_MODULE) else {
-        return Vec::new();
+        return out;
     };
     let mut toggles: Vec<(String, usize)> = Vec::new();
     for at in word_occurrences(&config.code, "struct") {
@@ -456,20 +498,8 @@ pub fn lint_duality(ws: &Workspace) -> Vec<Diagnostic> {
             toggles.push((name, config.line_of(at)));
         }
     }
-    let suites: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|f| {
-            let p = f.path.to_string_lossy().replace('\\', "/");
-            p.contains("/tests/") && (p.ends_with("_differential.rs") || p.ends_with("_props.rs"))
-        })
-        .collect();
-    let mut out = Vec::new();
     for (name, line) in toggles {
-        let covered = suites
-            .iter()
-            .any(|f| !word_occurrences(&f.nocomment, &name).is_empty());
-        if !covered {
+        if !suites.iter().any(|f| names(f, &name)) {
             out.push(Diagnostic {
                 lint: "fast-duality",
                 file: config.path.clone(),
@@ -673,8 +703,8 @@ mod tests {
 
     #[test]
     fn flag_tokens_extract_names() {
-        let text = "set ROBUSTHD_THREADS=4 or ROBUSTHD_ENCODE_FAST; ROBUSTHD_* is prose";
+        let text = "set ROBUSTHD_THREADS=4 or ROBUSTHD_KERNEL_TIER; ROBUSTHD_* is prose";
         let tokens: Vec<String> = flag_tokens(text).into_iter().map(|(n, _)| n).collect();
-        assert_eq!(tokens, vec!["ROBUSTHD_THREADS", "ROBUSTHD_ENCODE_FAST"]);
+        assert_eq!(tokens, vec!["ROBUSTHD_THREADS", "ROBUSTHD_KERNEL_TIER"]);
     }
 }

@@ -1,5 +1,5 @@
 //! Violation: an ad-hoc environment read outside the flag module.
-//! `ROBUSTHD_SECRET` never passes through `parse_fast_flag` or the
+//! `ROBUSTHD_SECRET` never passes through the flag module or the
 //! `FlagRegistry`, so it can drift from docs and CLI output unnoticed.
 #![forbid(unsafe_code)]
 

@@ -93,6 +93,15 @@ fn undocumented_fast_path_fires_duality() {
 }
 
 #[test]
+fn unpinned_oracle_fires_duality() {
+    let d = single("unpinned_oracle");
+    assert_eq!(d.lint, "fast-duality");
+    assert_eq!(d.file, Path::new("crates/core/src/encoding.rs"));
+    assert_eq!(d.line, 11, "must point at the encode_reference declaration");
+    assert!(d.message.contains("encode_reference"));
+}
+
+#[test]
 fn float_eq_in_kernel_fires() {
     let d = single("float_eq_kernel");
     assert_eq!(d.lint, "kernel-float-eq");
