@@ -21,7 +21,7 @@
 use hypervector::BinaryHypervector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use robusthd::{AdvConfig, BatchEngine, TrainedModel};
+use robusthd::{BatchEngine, TrainedModel};
 
 /// Odd 64-bit multiplier decorrelating per-query search streams from the
 /// campaign's base seed (golden-ratio constant, as in SplitMix64).
@@ -51,20 +51,13 @@ pub struct AttackBudget {
 }
 
 impl AttackBudget {
-    /// A budget of `radius` bit flips with candidate width and seed taken
-    /// from [`AdvConfig::default`].
+    /// A budget of `radius` bit flips with the default search tuning: 64
+    /// candidates per greedy round and base seed 0.
     pub fn new(radius: usize) -> Self {
-        Self::with_adv_config(radius, &AdvConfig::default())
-    }
-
-    /// A budget of `radius` bit flips tuned by an explicit [`AdvConfig`]
-    /// (use [`AdvConfig::from_env`] to honour `ROBUSTHD_ADV_CANDIDATES`
-    /// and `ROBUSTHD_ADV_SEED`).
-    pub fn with_adv_config(radius: usize, config: &AdvConfig) -> Self {
         Self {
             radius,
-            candidates: config.candidates.max(1),
-            seed: config.seed,
+            candidates: 64,
+            seed: 0,
         }
     }
 

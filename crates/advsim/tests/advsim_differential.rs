@@ -3,15 +3,12 @@
 //! against the scalar reference encoder, batched scoring against
 //! sequential [`robusthd::Confidence::evaluate`] (down to `f64::to_bits`
 //! on every confidence and margin), and recorded verdicts against live
-//! models — at any engine thread count. The attacker's tuning flows
-//! through [`robusthd::AdvConfig`]; its serving-path purity is what makes
-//! "replayable" a theorem rather than a hope.
+//! models — at any engine thread count. The attacker's serving-path
+//! purity is what makes "replayable" a theorem rather than a hope.
 
 use advsim::{DisagreementCorpus, DisagreementHunter, HuntBudget};
 use faultsim::Attacker;
-use robusthd::{
-    AdvConfig, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, TrainedModel,
-};
+use robusthd::{BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, TrainedModel};
 
 fn engine(threads: usize) -> BatchEngine {
     BatchEngine::new(
@@ -76,11 +73,7 @@ fn persisted_corpus_replays_bit_identically() {
     let f = fixture();
     let beta = f.config.softmax_beta;
     let variants = [("one-shot", &f.one_shot), ("attacked", &f.attacked)];
-    let hunter = DisagreementHunter::new(
-        HuntBudget::new(6, 12)
-            .with_feature_step(0.15)
-            .with_seed(AdvConfig::default().seed),
-    );
+    let hunter = DisagreementHunter::new(HuntBudget::new(6, 12).with_feature_step(0.15));
     let corpus = hunter.hunt(&engine(3), &f.encoder, &variants, &f.rows, beta);
     assert!(
         !corpus.cases.is_empty(),

@@ -1,5 +1,5 @@
 //! Property suite for the adversarial scenario engine, pinning the
-//! [`robusthd::AdvConfig`]-governed attacker to its contract: the hard
+//! [`advsim::AttackBudget`]-governed attacker to its contract: the hard
 //! Hamming budget (metamorphic — the adversarial output never leaves the
 //! ball, at any radius), seeded determinism at any engine thread count,
 //! and lossless corpus text round-tripping.
@@ -11,9 +11,7 @@ use advsim::{
 use hypervector::random::HypervectorSampler;
 use hypervector::BinaryHypervector;
 use proptest::prelude::*;
-use robusthd::{
-    AdvConfig, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, TrainedModel,
-};
+use robusthd::{BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, TrainedModel};
 
 fn engine(threads: usize) -> BatchEngine {
     BatchEngine::new(
@@ -38,11 +36,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Metamorphic budget property: whatever the radius, candidate width,
-    /// or seed — all fed through [`AdvConfig`], the registry-backed tuning
-    /// struct — the adversarial query stays inside the Hamming ball, its
-    /// distance from the original is exactly the accepted flip count, and
-    /// no position is flipped twice or lands out of range. Dimension 250
-    /// exercises a non-word-aligned tail.
+    /// or seed — all fed through [`AttackBudget`] — the adversarial query
+    /// stays inside the Hamming ball, its distance from the original is
+    /// exactly the accepted flip count, and no position is flipped twice or
+    /// lands out of range. Dimension 250 exercises a non-word-aligned tail.
     #[test]
     fn attack_never_leaves_the_hamming_ball(
         radius in 0usize..48,
@@ -51,7 +48,7 @@ proptest! {
     ) {
         let (model, queries) = fixture(250);
         let engine = engine(2);
-        let budget = AttackBudget::with_adv_config(radius, &AdvConfig { candidates, seed });
+        let budget = AttackBudget::new(radius).with_candidates(candidates).with_seed(seed);
         let attacker = MarginAttacker::new(budget);
         for (i, q) in queries.iter().take(3).enumerate() {
             let attack = attacker.attack(&engine, &model, q, 64.0, i);
@@ -110,7 +107,7 @@ proptest! {
 #[test]
 fn attack_is_identical_across_thread_counts() {
     let (model, queries) = fixture(512);
-    let budget = AttackBudget::with_adv_config(32, &AdvConfig::default()).with_seed(13);
+    let budget = AttackBudget::new(32).with_seed(13);
     let attacker = MarginAttacker::new(budget);
     let single = attacker.attack_batch(&engine(1), &model, &queries, 64.0);
     let parallel = attacker.attack_batch(&engine(4), &model, &queries, 64.0);
@@ -149,21 +146,16 @@ fn hunt_is_identical_across_thread_counts() {
     let one_shot = TrainedModel::train(&encoded, &labels, 2, &config);
     let retrained = TrainedModel::train(&encoded, &labels, 2, &refined);
     let variants = [("one-shot", &one_shot), ("retrained", &retrained)];
-    let hunter =
-        DisagreementHunter::new(HuntBudget::new(5, 10).with_seed(AdvConfig::default().seed));
+    let hunter = DisagreementHunter::new(HuntBudget::new(5, 10));
     let a = hunter.hunt(&engine(1), &encoder, &variants, &rows, config.softmax_beta);
     let b = hunter.hunt(&engine(4), &encoder, &variants, &rows, config.softmax_beta);
     assert_eq!(a, b, "thread count leaked into the hunt");
 }
 
-/// `AttackBudget::new` is exactly the [`AdvConfig::default`] tuning — the
-/// registered `ROBUSTHD_ADV_*` defaults and the programmatic default can
-/// never drift apart.
+/// `AttackBudget::new` keeps the documented search defaults: 64
+/// candidates per round and base seed 0.
 #[test]
-fn default_budget_matches_adv_config_defaults() {
-    let config = AdvConfig::default();
+fn default_budget_uses_64_candidates_and_seed_0() {
     let budget = AttackBudget::new(7);
-    assert_eq!(budget.radius, 7);
-    assert_eq!(budget.candidates, config.candidates);
-    assert_eq!(budget.seed, config.seed);
+    assert_eq!((budget.radius, budget.candidates, budget.seed), (7, 64, 0));
 }

@@ -10,9 +10,10 @@
 //! pipelined clients let the micro-batcher amortise that per-batch
 //! overhead. The emitted JSON is the `BENCH_serve.json` body.
 
+use crate::soak::soak_recovery;
 use crate::workload::{EncodedWorkload, Scale};
 use robusthd::supervisor::ResilienceSupervisor;
-use robusthd::{BatchConfig, RecoveryConfig, SubstitutionMode, SupervisorConfig};
+use robusthd::{BatchConfig, SupervisorConfig};
 use robusthd_serve::{BenchOptions, ServeBenchOutcome, ServeEngine};
 use std::io;
 use synthdata::DatasetSpec;
@@ -54,7 +55,7 @@ impl Default for ServeBenchParams {
             monitor_window: 64,
             checkpoint: 16,
             canaries: 128,
-            config: robusthd::ServeConfig::from_env(),
+            config: robusthd::ServeConfig::default(),
             batch: BatchConfig::from_env(),
         }
     }
@@ -64,13 +65,7 @@ impl Default for ServeBenchParams {
 /// fresh supervisor, recovery policy at the soak defaults, canaries =
 /// the first `canaries` encoded test queries.
 fn build_engine(workload: &EncodedWorkload, params: &ServeBenchParams) -> ServeEngine {
-    let base = RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .seed(params.seed ^ 0x5EE4)
-        .build()
-        .expect("valid recovery config");
+    let base = soak_recovery(params.seed ^ 0x5EE4);
     let policy = SupervisorConfig::builder()
         .window(params.monitor_window)
         .checkpoint_interval(params.checkpoint)

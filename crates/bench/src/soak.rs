@@ -11,7 +11,7 @@
 use crate::workload::{EncodedWorkload, Scale};
 use faultsim::{AttackCampaign, ErrorRateSchedule};
 use robusthd::supervisor::{run_soak, ResilienceSupervisor, SoakReport};
-use robusthd::{RecoveryConfig, SubstitutionMode, SupervisorConfig};
+use robusthd::{RecoveryConfig, SupervisorConfig};
 use synthdata::DatasetSpec;
 
 /// Outcome of one chaos-soak run.
@@ -37,14 +37,7 @@ pub struct SoakOutcome {
 /// The soak's recovery operating point (Table 4's, plus the supervisor's
 /// escalation ladder derived from it).
 pub fn soak_recovery(seed: u64) -> RecoveryConfig {
-    RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .fault_margin(1.0)
-        .seed(seed)
-        .build()
-        .expect("valid recovery config")
+    crate::table4::recovery_operating_point(seed)
 }
 
 /// Runs one chaos soak: `steps` campaign steps ramping linearly to a

@@ -10,9 +10,11 @@ use robusthd::diagnostics::{HealthMonitor, HealthVerdict};
 use robusthd::persist;
 use robusthd::supervisor::{run_soak, ResilienceSupervisor};
 use robusthd::{
-    accuracy, AdvConfig, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder,
-    RecoveryConfig, RecoveryEngine, SubstitutionMode, SupervisorConfig, TrainedModel,
+    accuracy, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, RecoveryEngine,
+    SupervisorConfig, TrainedModel,
 };
+use robusthd_bench::soak::soak_recovery;
+use robusthd_serve::json::Json;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::path::Path;
@@ -305,14 +307,7 @@ pub fn recover(argv: &[String]) -> Result<String, String> {
     let mut model = attack_model(&pipeline.model, rate, seed ^ 0xa77);
     let attacked = accuracy(&model, &pipeline.queries, &pipeline.labels);
 
-    let recovery = RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut engine = RecoveryEngine::new(recovery, pipeline.config.softmax_beta);
+    let mut engine = RecoveryEngine::new(soak_recovery(seed), pipeline.config.softmax_beta);
     for _ in 0..passes {
         engine.run_stream(&mut model, &pipeline.queries);
     }
@@ -591,13 +586,7 @@ pub fn soak(argv: &[String]) -> Result<String, String> {
         return Err("traffic file too small to split into canaries and served queries".to_owned());
     }
 
-    let base = RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .seed(seed ^ 0x50AC)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let base = soak_recovery(seed ^ 0x50AC);
     let policy = SupervisorConfig::builder()
         .window(served.len())
         .sensitivity(0.9)
@@ -707,15 +696,14 @@ OPTIONS:
                        retention model (Vth drift) instead of the linear ramp
     --horizon <F>      TCAM retention horizon in seconds (default 1e8)
     --radius <N>       input-attack Hamming budget per query (default 64)
-    --candidates <N>   candidate bits scored per attack round
-                       (default: ROBUSTHD_ADV_CANDIDATES)
+    --candidates <N>   candidate bits scored per attack round (default 64)
     --attack-frac <F>  fraction of served queries attacked per step (default 0.15)
     --trust <F>        confidence trust threshold T_C (default 0.45)
     --corpus <PATH>    persist the disagreement corpus (ADVC1 text) here
     --replay <PATH>    replay a saved corpus against the rebuilt pipeline and
                        report exactness instead of running the soak
     --dim <N>          HDC dimensionality (default 4096)
-    --seed <N>         pipeline/attack seed (default: ROBUSTHD_ADV_SEED)
+    --seed <N>         pipeline/attack seed (default 0)
     --json             emit the full JSON report instead of a text report";
 
 /// Rebuilds the hunt's model variants deterministically from a pipeline:
@@ -781,12 +769,12 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     let horizon = args
         .get_parsed_or("horizon", 1e8f64)
         .map_err(|e| e.to_string())?;
-    let adv = AdvConfig::from_env();
+    let defaults = AttackBudget::new(0);
     let radius = args
         .get_parsed_or("radius", 64usize)
         .map_err(|e| e.to_string())?;
     let candidates = args
-        .get_parsed_or("candidates", adv.candidates)
+        .get_parsed_or("candidates", defaults.candidates)
         .map_err(|e| e.to_string())?;
     let attack_frac = args
         .get_parsed_or("attack-frac", 0.15f64)
@@ -801,7 +789,7 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         .get_parsed_or("dim", 4096usize)
         .map_err(|e| e.to_string())?;
     let seed = args
-        .get_parsed_or("seed", adv.seed)
+        .get_parsed_or("seed", defaults.seed)
         .map_err(|e| e.to_string())?;
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
@@ -822,15 +810,15 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         let corpus = DisagreementCorpus::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
         let report = corpus.replay(&engine, &pipeline.encoder, &variants, beta);
         if args.flag("json") {
-            return Ok(format!(
-                "{{\"cases\":{},\"encode_mismatches\":{},\"score_mismatches\":{},\
-                 \"verdict_mismatches\":{},\"clean\":{}}}",
-                report.cases,
-                report.encode_mismatches,
-                report.score_mismatches,
-                report.verdict_mismatches,
-                report.is_clean()
-            ));
+            let count = |n: usize| Json::Number(n as f64);
+            return Ok(json_object(vec![
+                ("cases", count(report.cases)),
+                ("encode_mismatches", count(report.encode_mismatches)),
+                ("score_mismatches", count(report.score_mismatches)),
+                ("verdict_mismatches", count(report.verdict_mismatches)),
+                ("clean", Json::Bool(report.is_clean())),
+            ])
+            .to_string_compact());
         }
         return Ok(format!(
             "replayed {} cases: {} encode, {} score, {} verdict mismatches — {}",
@@ -867,13 +855,7 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     if served.is_empty() {
         return Err("traffic file too small to split into canaries and served queries".to_owned());
     }
-    let base = RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .seed(seed ^ 0x50AC)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let base = soak_recovery(seed ^ 0x50AC);
     let policy = SupervisorConfig::builder()
         .window(served.len())
         .sensitivity(0.9)
@@ -970,23 +952,9 @@ effective parsed value.
 OPTIONS:
     --help             show this help";
 
-/// Escapes a string for embedding inside a JSON string literal.
-fn json_escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON object from `(key, value)` pairs, in order.
+fn json_object(fields: Vec<(&str, Json)>) -> Json {
+    Json::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// `robusthd flags` — the flag registry as one JSON object.
@@ -995,28 +963,22 @@ pub fn flags(argv: &[String]) -> Result<String, String> {
     if args.flag("help") {
         return Ok(FLAGS_HELP.to_owned());
     }
-    let mut entries = String::new();
-    for (idx, flag) in robusthd::FlagRegistry::flags().iter().enumerate() {
-        if idx > 0 {
-            entries.push_str(",\n");
-        }
-        let raw = match &flag.raw {
-            Some(value) => format!("\"{}\"", json_escape(value)),
-            None => "null".to_owned(),
-        };
-        let _ = write!(
-            entries,
-            "    {{\"name\": \"{}\", \"owner\": \"{}\", \"default\": \"{}\", \
-             \"set\": {}, \"raw\": {raw}, \"effective\": \"{}\", \"doc\": \"{}\"}}",
-            json_escape(flag.name),
-            json_escape(flag.owner),
-            json_escape(flag.default),
-            flag.raw.is_some(),
-            json_escape(&flag.effective),
-            json_escape(flag.doc),
-        );
-    }
-    Ok(format!("{{\n  \"flags\": [\n{entries}\n  ]\n}}"))
+    let text = |s: &str| Json::String(s.to_owned());
+    let entries = robusthd::FlagRegistry::flags()
+        .into_iter()
+        .map(|flag| {
+            json_object(vec![
+                ("name", text(flag.name)),
+                ("owner", text(flag.owner)),
+                ("default", text(flag.default)),
+                ("set", Json::Bool(flag.raw.is_some())),
+                ("raw", flag.raw.map_or(Json::Null, Json::String)),
+                ("effective", Json::String(flag.effective)),
+                ("doc", text(flag.doc)),
+            ])
+        })
+        .collect();
+    Ok(json_object(vec![("flags", Json::Array(entries))]).to_string_compact())
 }
 
 const THROUGHPUT_HELP: &str = "\
@@ -1244,20 +1206,19 @@ fn dataset_spec(name: &str) -> Result<DatasetSpec, String> {
     }
 }
 
-/// The daemon tuning shared by `serve` and `servebench`: each knob starts
-/// from its `ROBUSTHD_SERVE_*` environment value (via
-/// [`robusthd::ServeConfig::from_env`]) and may be overridden on the
-/// command line.
+/// The daemon tuning shared by `serve`, `servebench` and `fleetbench`:
+/// each knob starts from [`robusthd::ServeConfig::default`] and may be
+/// overridden on the command line.
 fn serve_config_from(args: &ParsedArgs) -> Result<robusthd::ServeConfig, String> {
-    let env = robusthd::ServeConfig::from_env();
+    let defaults = robusthd::ServeConfig::default();
     let window_us = args
-        .get_parsed_or("window-us", env.window_us)
+        .get_parsed_or("window-us", defaults.window_us)
         .map_err(|e| e.to_string())?;
     let max_batch = args
-        .get_parsed_or("max-batch", env.max_batch)
+        .get_parsed_or("max-batch", defaults.max_batch)
         .map_err(|e| e.to_string())?;
     let queue_depth = args
-        .get_parsed_or("queue-depth", env.queue_depth)
+        .get_parsed_or("queue-depth", defaults.queue_depth)
         .map_err(|e| e.to_string())?;
     robusthd::ServeConfig::builder()
         .window_us(window_us)
@@ -1311,9 +1272,9 @@ OPTIONS:
     --addr <ADDR>         listen address (default 127.0.0.1:7878)
     --dim <N>             HDC dimensionality (default 4096)
     --seed <N>            pipeline seed (default 0)
-    --window-us <N>       coalescing window, µs (default ROBUSTHD_SERVE_WINDOW_US or 1000)
-    --max-batch <N>       micro-batch ceiling (default ROBUSTHD_SERVE_MAX_BATCH or 64)
-    --queue-depth <N>     admission queue bound (default ROBUSTHD_SERVE_QUEUE_DEPTH or 1024)
+    --window-us <N>       coalescing window, µs (default 1000)
+    --max-batch <N>       micro-batch ceiling (default 64)
+    --queue-depth <N>     admission queue bound (default 1024)
     --monitor-window <N>  supervisor verdict window in queries (default 64)
     --checkpoint <N>      checkpoint every N healthy batches (default 16)
     --threads <N>         batch-engine worker threads (default ROBUSTHD_THREADS)
@@ -1430,13 +1391,7 @@ fn build_serve_engine(
     checkpoint: usize,
     batch: Option<BatchConfig>,
 ) -> Result<robusthd_serve::ServeEngine, String> {
-    let base = RecoveryConfig::builder()
-        .confidence_threshold(0.45)
-        .substitution_rate(0.5)
-        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
-        .seed(seed ^ 0x5EE4)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let base = soak_recovery(seed ^ 0x5EE4);
     let policy = SupervisorConfig::builder()
         .window(monitor_window)
         .checkpoint_interval(checkpoint)
@@ -1510,24 +1465,23 @@ pub fn loadgen(argv: &[String]) -> Result<String, String> {
     )
     .map_err(|e| format!("loadgen against {addr}: {e}"))?;
     if args.flag("json") {
-        return Ok(format!(
-            "{{\"clients\": {clients}, \"requests_per_client\": {requests}, \
-             \"pipeline\": {pipeline}, \"sent\": {}, \"results\": {}, \
-             \"overloaded\": {}, \"errors\": {}, \"elapsed_s\": {:.4}, \
-             \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"max_ms\": {:.3}}}",
-            report.sent,
-            report.results,
-            report.overloaded,
-            report.errors,
-            report.elapsed_s,
-            report.qps,
-            report.p50_ms,
-            report.p95_ms,
-            report.p99_ms,
-            report.mean_ms,
-            report.max_ms,
-        ));
+        return Ok(json_object(vec![
+            ("clients", Json::Number(clients as f64)),
+            ("requests_per_client", Json::Number(requests as f64)),
+            ("pipeline", Json::Number(pipeline as f64)),
+            ("sent", Json::Number(report.sent as f64)),
+            ("results", Json::Number(report.results as f64)),
+            ("overloaded", Json::Number(report.overloaded as f64)),
+            ("errors", Json::Number(report.errors as f64)),
+            ("elapsed_s", Json::Number(report.elapsed_s)),
+            ("qps", Json::Number(report.qps)),
+            ("p50_ms", Json::Number(report.p50_ms)),
+            ("p95_ms", Json::Number(report.p95_ms)),
+            ("p99_ms", Json::Number(report.p99_ms)),
+            ("mean_ms", Json::Number(report.mean_ms)),
+            ("max_ms", Json::Number(report.max_ms)),
+        ])
+        .to_string_compact());
     }
     Ok(format!(
         "{} clients x {} requests (pipeline {}): {} results, {} overloaded, {} errors\n\
@@ -1574,9 +1528,9 @@ OPTIONS:
     --concurrency <N>     clients in the coalesced phase (default 32)
     --requests <N>        requests per client in the coalesced phase (default 32)
     --pipeline <N>        max in flight per client (default 4)
-    --window-us <N>       coalescing window, µs (default ROBUSTHD_SERVE_WINDOW_US or 1000)
-    --max-batch <N>       micro-batch ceiling (default ROBUSTHD_SERVE_MAX_BATCH or 64)
-    --queue-depth <N>     admission queue bound (default ROBUSTHD_SERVE_QUEUE_DEPTH or 1024)
+    --window-us <N>       coalescing window, µs (default 1000)
+    --max-batch <N>       micro-batch ceiling (default 64)
+    --queue-depth <N>     admission queue bound (default 1024)
     --monitor-window <N>  supervisor verdict window (default 64)
     --checkpoint <N>      checkpoint every N healthy batches (default 16)
     --canaries <N>        retained canary queries (default 128)
@@ -1727,9 +1681,9 @@ OPTIONS:
     --requests <N>        requests per wire client (default 64)
     --pipeline <N>        max in flight per client (default 4)
     --zipf <S>            tenant-mix Zipf exponent (default 1.0)
-    --window-us <N>       coalescing window, µs (default ROBUSTHD_SERVE_WINDOW_US or 1000)
-    --max-batch <N>       micro-batch ceiling (default ROBUSTHD_SERVE_MAX_BATCH or 64)
-    --queue-depth <N>     admission queue bound (default ROBUSTHD_SERVE_QUEUE_DEPTH or 1024)
+    --window-us <N>       coalescing window, µs (default 1000)
+    --max-batch <N>       micro-batch ceiling (default 64)
+    --queue-depth <N>     admission queue bound (default 1024)
     --threads <N>         batch-engine worker threads (default ROBUSTHD_THREADS)
     --shard <N>           batch-engine shard size (default 32)";
 
@@ -1872,12 +1826,12 @@ mod tests {
         let report = flags(&argv(&[])).expect("flags succeeds");
         for flag in robusthd::FlagRegistry::flags() {
             assert!(
-                report.contains(&format!("\"name\": \"{}\"", flag.name)),
+                report.contains(&format!("\"name\":\"{}\"", flag.name)),
                 "registry flag {} missing from `robusthd flags` output: {report}",
                 flag.name
             );
             assert!(
-                report.contains(&format!("\"owner\": \"{}\"", flag.owner)),
+                report.contains(&format!("\"owner\":\"{}\"", flag.owner)),
                 "owner {} missing: {report}",
                 flag.owner
             );
@@ -1890,14 +1844,6 @@ mod tests {
         let help = flags(&argv(&["--help"])).expect("help");
         assert!(help.contains("FlagRegistry"));
         assert!(flags(&argv(&["--bogus", "1"])).is_err());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\t"), "line\\nbreak\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

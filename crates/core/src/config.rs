@@ -802,113 +802,6 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Environment variable read by [`AdvConfig::from_env`]: candidate bit
-/// flips scored per greedy search round of the adversarial query-space
-/// attack engine (`advsim`). Must be a positive integer; anything else
-/// falls back to the default.
-pub const ADV_CANDIDATES_ENV_VAR: &str = "ROBUSTHD_ADV_CANDIDATES";
-
-/// Environment variable read by [`AdvConfig::from_env`]: base seed of the
-/// adversarial search (attack synthesis and disagreement hunting). Must
-/// parse as a `u64`; anything else falls back to the default of 0.
-pub const ADV_SEED_ENV_VAR: &str = "ROBUSTHD_ADV_SEED";
-
-/// Tuning of the adversarial scenario engine (the `advsim` crate): the
-/// candidate batch width of the greedy margin-guided search and the base
-/// seed of every seeded mutation stream.
-///
-/// Unlike [`KernelConfig`] this is not a fast/reference switch — both
-/// knobs change *which adversarial examples are found*, not how a fixed
-/// computation is executed. What is pinned by the advsim
-/// property suites instead: for a fixed `AdvConfig` the whole search is a
-/// pure function of its inputs (bit-identical outcomes at any thread
-/// count, because every candidate batch is scored through the
-/// deterministic [`crate::batch::BatchEngine`]).
-///
-/// # Example
-///
-/// ```
-/// use robusthd::AdvConfig;
-///
-/// let config = AdvConfig::default();
-/// assert!(config.candidates > 0);
-/// assert_eq!(config.seed, 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdvConfig {
-    /// Candidate bit flips scored per greedy search round (one batched
-    /// engine pass per round). Wider searches find stronger attacks per
-    /// round at proportional query cost.
-    pub candidates: usize,
-    /// Base seed for the adversarial search streams; per-query and
-    /// per-step streams are derived from it deterministically.
-    pub seed: u64,
-}
-
-impl AdvConfig {
-    /// The default configuration overridden by the `ROBUSTHD_ADV_CANDIDATES`
-    /// and `ROBUSTHD_ADV_SEED` environment variables (each falls back to
-    /// its default when unset or unparsable).
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        Self {
-            candidates: parse_threads(std::env::var(ADV_CANDIDATES_ENV_VAR).ok().as_deref())
-                .unwrap_or(defaults.candidates),
-            seed: std::env::var(ADV_SEED_ENV_VAR)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(defaults.seed),
-        }
-    }
-}
-
-impl Default for AdvConfig {
-    fn default() -> Self {
-        Self {
-            candidates: 64,
-            seed: 0,
-        }
-    }
-}
-
-/// Environment variable read by [`ServeConfig::from_env`]: coalescing
-/// window of the serving daemon's request batcher, in microseconds. A
-/// micro-batch drains as soon as it is full *or* this long after its first
-/// query arrived, whichever comes first. `0` drains immediately (every
-/// queued query still joins the drained batch). Must parse as a `u64`;
-/// anything else falls back to the default.
-pub const SERVE_WINDOW_ENV_VAR: &str = "ROBUSTHD_SERVE_WINDOW_US";
-
-/// Environment variable read by [`ServeConfig::from_env`]: maximum queries
-/// coalesced into one micro-batch (one fused engine pass) by the serving
-/// daemon. Must be a positive integer; anything else falls back to the
-/// default.
-pub const SERVE_MAX_BATCH_ENV_VAR: &str = "ROBUSTHD_SERVE_MAX_BATCH";
-
-/// Environment variable read by [`ServeConfig::from_env`]: admission-queue
-/// depth of the serving daemon. A classify request arriving while this many
-/// queries are already queued is refused with a structured `overloaded`
-/// response instead of being buffered without bound. Must be a positive
-/// integer; anything else falls back to the default.
-pub const SERVE_QUEUE_DEPTH_ENV_VAR: &str = "ROBUSTHD_SERVE_QUEUE_DEPTH";
-
-/// Environment variable read by [`FleetConfig::from_env`]: resident-memory
-/// budget in bytes for the multi-tenant model registry's hot state (class
-/// hypervectors plus the fused `PackedClasses` scoring arena per hydrated
-/// model). When hydrating a model would exceed the budget, the registry
-/// evicts least-recently-used models back to their RHD2 checkpoint bytes;
-/// they rehydrate on the next query without retraining. Must be a positive
-/// integer; anything else falls back to the default.
-pub const FLEET_BUDGET_BYTES_ENV_VAR: &str = "ROBUSTHD_FLEET_BUDGET_BYTES";
-
-/// Environment variable read by [`FleetConfig::from_env`]: set to
-/// `1`/`true`/`on`/`yes` to opt the fleet registry into the LogHD
-/// compressed model representation (O(log C) composite class vectors with
-/// a decode-at-score path) for tenants served through the plain router.
-/// LogHD is lossy — the fleet differential suite quantifies the accuracy
-/// delta — so unlike the throughput knobs it is opt-in.
-pub const FLEET_LOGHD_ENV_VAR: &str = "ROBUSTHD_FLEET_LOGHD";
-
 /// Tuning of the multi-tenant model fleet registry ([`crate::fleet`]): the
 /// resident-memory budget that bounds how many hydrated models (class
 /// vectors + fused `PackedClasses` arenas) stay hot at once, and the
@@ -950,22 +843,6 @@ impl FleetConfig {
     /// LogHD off).
     pub fn builder() -> FleetConfigBuilder {
         FleetConfigBuilder::new()
-    }
-
-    /// The default configuration with each knob overridden by its
-    /// environment variable (`ROBUSTHD_FLEET_BUDGET_BYTES`,
-    /// `ROBUSTHD_FLEET_LOGHD`) when set to a value of the right shape;
-    /// anything else falls back to the default.
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let budget_bytes = parse_threads(std::env::var(FLEET_BUDGET_BYTES_ENV_VAR).ok().as_deref())
-            .unwrap_or(defaults.budget_bytes);
-        let loghd = parse_opt_in_flag(std::env::var(FLEET_LOGHD_ENV_VAR).ok().as_deref());
-        Self::builder()
-            .budget_bytes(budget_bytes)
-            .loghd(loghd)
-            .build()
-            .expect("env-derived fleet config is valid") // audit:allow(panic): startup-time config build, not a serving-path failure
     }
 }
 
@@ -1018,20 +895,6 @@ impl FleetConfigBuilder {
     }
 }
 
-/// Parses an opt-in boolean flag: only `1`/`true`/`on`/`yes`
-/// (case-insensitive, whitespace-trimmed) enable it; everything else —
-/// including unset — stays off. For behaviour that changes answers and
-/// therefore must be asked for.
-fn parse_opt_in_flag(raw: Option<&str>) -> bool {
-    match raw {
-        Some(value) => matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "on" | "yes"
-        ),
-        None => false,
-    }
-}
-
 /// Tuning of the serving daemon's request coalescer (the `robusthd-serve`
 /// crate): how long a micro-batch may wait for company, how large it may
 /// grow, and how many queries the admission queue holds before shedding
@@ -1077,29 +940,6 @@ impl ServeConfig {
     /// batches, 1024-query queue).
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder::new()
-    }
-
-    /// The default configuration with each knob overridden by its
-    /// environment variable (`ROBUSTHD_SERVE_WINDOW_US`,
-    /// `ROBUSTHD_SERVE_MAX_BATCH`, `ROBUSTHD_SERVE_QUEUE_DEPTH`) when set
-    /// to a value of the right shape; anything else falls back to the
-    /// default.
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let window_us = std::env::var(SERVE_WINDOW_ENV_VAR)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(defaults.window_us);
-        let max_batch = parse_threads(std::env::var(SERVE_MAX_BATCH_ENV_VAR).ok().as_deref())
-            .unwrap_or(defaults.max_batch);
-        let queue_depth = parse_threads(std::env::var(SERVE_QUEUE_DEPTH_ENV_VAR).ok().as_deref())
-            .unwrap_or(defaults.queue_depth);
-        Self::builder()
-            .window_us(window_us)
-            .max_batch(max_batch)
-            .queue_depth(queue_depth)
-            .build()
-            .expect("env-derived serve config is valid") // audit:allow(panic): startup-time config build, not a serving-path failure
     }
 }
 
@@ -1228,85 +1068,6 @@ impl FlagRegistry {
                       are bit-identical.",
                 raw: std::env::var(KERNEL_TIER_ENV_VAR).ok(),
                 effective: KernelConfig::from_env().tier.name().to_owned(),
-            },
-            FlagInfo {
-                name: ADV_CANDIDATES_ENV_VAR,
-                owner: "AdvConfig",
-                default: "64",
-                doc: "Candidate bit flips scored per greedy round of the advsim \
-                      query-space attack search; wider searches find stronger \
-                      attacks at proportional blackbox query cost.",
-                raw: std::env::var(ADV_CANDIDATES_ENV_VAR).ok(),
-                effective: AdvConfig::from_env().candidates.to_string(),
-            },
-            FlagInfo {
-                name: SERVE_WINDOW_ENV_VAR,
-                owner: "ServeConfig",
-                default: "1000",
-                doc: "Coalescing window of the serving daemon in microseconds: a \
-                      micro-batch drains when full or this long after its first \
-                      query, whichever comes first; a pure latency/throughput \
-                      knob, answers are bit-identical at any value.",
-                raw: std::env::var(SERVE_WINDOW_ENV_VAR).ok(),
-                effective: ServeConfig::from_env().window_us.to_string(),
-            },
-            FlagInfo {
-                name: SERVE_MAX_BATCH_ENV_VAR,
-                owner: "ServeConfig",
-                default: "64",
-                doc: "Maximum queries the serving daemon coalesces into one fused \
-                      engine pass; deeper batches amortize per-batch supervisor \
-                      overhead at up to one window of queueing latency.",
-                raw: std::env::var(SERVE_MAX_BATCH_ENV_VAR).ok(),
-                effective: ServeConfig::from_env().max_batch.to_string(),
-            },
-            FlagInfo {
-                name: SERVE_QUEUE_DEPTH_ENV_VAR,
-                owner: "ServeConfig",
-                default: "1024",
-                doc: "Admission-queue depth of the serving daemon; classify \
-                      requests beyond it are refused with a structured \
-                      `overloaded` response instead of buffering without bound.",
-                raw: std::env::var(SERVE_QUEUE_DEPTH_ENV_VAR).ok(),
-                effective: ServeConfig::from_env().queue_depth.to_string(),
-            },
-            FlagInfo {
-                name: FLEET_BUDGET_BYTES_ENV_VAR,
-                owner: "FleetConfig",
-                default: "67108864",
-                doc: "Resident-memory budget in bytes for the multi-tenant \
-                      model registry's hydrated hot state (class vectors + \
-                      fused PackedClasses arenas); over budget, \
-                      least-recently-used models are evicted to their RHD2 \
-                      bytes and rehydrate bit-exactly on the next query.",
-                raw: std::env::var(FLEET_BUDGET_BYTES_ENV_VAR).ok(),
-                effective: FleetConfig::from_env().budget_bytes.to_string(),
-            },
-            FlagInfo {
-                name: FLEET_LOGHD_ENV_VAR,
-                owner: "FleetConfig",
-                default: "off",
-                doc: "Set to 1/true/on/yes to serve plain-routed fleet \
-                      queries through the LogHD compressed representation \
-                      (O(log C) composite class vectors, decode-at-score). \
-                      Lossy — opt-in, unlike the bit-identical fast paths.",
-                raw: std::env::var(FLEET_LOGHD_ENV_VAR).ok(),
-                effective: if FleetConfig::from_env().loghd {
-                    "loghd".to_owned()
-                } else {
-                    "off".to_owned()
-                },
-            },
-            FlagInfo {
-                name: ADV_SEED_ENV_VAR,
-                owner: "AdvConfig",
-                default: "0",
-                doc: "Base seed of the advsim attack-synthesis and \
-                      disagreement-hunting streams; for a fixed seed the whole \
-                      adversarial campaign is bit-reproducible at any thread \
-                      count.",
-                raw: std::env::var(ADV_SEED_ENV_VAR).ok(),
-                effective: AdvConfig::from_env().seed.to_string(),
             },
         ]
     }
@@ -1517,20 +1278,10 @@ mod tests {
     fn flag_registry_covers_every_env_var_const() {
         let flags = FlagRegistry::flags();
         let names: Vec<&str> = flags.iter().map(|f| f.name).collect();
-        for expected in [
-            THREADS_ENV_VAR,
-            KERNEL_TIER_ENV_VAR,
-            ADV_CANDIDATES_ENV_VAR,
-            ADV_SEED_ENV_VAR,
-            SERVE_WINDOW_ENV_VAR,
-            SERVE_MAX_BATCH_ENV_VAR,
-            SERVE_QUEUE_DEPTH_ENV_VAR,
-            FLEET_BUDGET_BYTES_ENV_VAR,
-            FLEET_LOGHD_ENV_VAR,
-        ] {
+        for expected in [THREADS_ENV_VAR, KERNEL_TIER_ENV_VAR] {
             assert!(names.contains(&expected), "{expected} not registered");
         }
-        assert_eq!(names.len(), 9, "new flags must be registered exactly once");
+        assert_eq!(names.len(), 2, "new flags must be registered exactly once");
     }
 
     #[test]
@@ -1539,14 +1290,13 @@ mod tests {
         assert_eq!(c.budget_bytes, 64 * 1024 * 1024);
         assert!(!c.loghd);
         assert!(FleetConfig::builder().budget_bytes(0).build().is_err());
-        // LogHD changes answers, so it must be strictly opt-in: garbage and
-        // unset both stay off, unlike the opt-out fast-path flags.
-        assert!(parse_opt_in_flag(Some("1")));
-        assert!(parse_opt_in_flag(Some(" ON ")));
-        assert!(parse_opt_in_flag(Some("yes")));
-        assert!(!parse_opt_in_flag(Some("0")));
-        assert!(!parse_opt_in_flag(Some("anything")));
-        assert!(!parse_opt_in_flag(None));
+        assert!(
+            FleetConfig::builder()
+                .loghd(true)
+                .build()
+                .expect("valid")
+                .loghd
+        );
     }
 
     #[test]
@@ -1560,15 +1310,6 @@ mod tests {
         assert_eq!(parse_kernel_tier(None), KernelTier::Wide);
         assert_eq!(KernelConfig::default(), KernelConfig::wide());
         assert_eq!(KernelConfig::reference().tier, KernelTier::Reference);
-    }
-
-    #[test]
-    fn adv_config_defaults_and_env_fallback() {
-        let c = AdvConfig::default();
-        assert_eq!((c.candidates, c.seed), (64, 0));
-        // from_env falls back to defaults on unset/garbage values, so it
-        // always yields a usable search width.
-        assert!(AdvConfig::from_env().candidates > 0);
     }
 
     #[test]
@@ -1594,8 +1335,6 @@ mod tests {
         // A zero window is valid: it means "drain immediately".
         let zero = ServeConfig::builder().window_us(0).build().expect("valid");
         assert_eq!(zero.window_us, 0);
-        // from_env always yields something buildable.
-        assert!(ServeConfig::from_env().max_batch >= 1);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! directly for a 1-bit, complemented for a 0-bit — and scoring decodes by
 //! agreement between the signed query/composite similarities and the
 //! codeword bits. It is lossy — and therefore opt-in via
-//! `ROBUSTHD_FLEET_LOGHD` — with the accuracy delta quantified by the
-//! fleet differential suite and `fleetbench`.
+//! `FleetConfig::builder().loghd(true)` — with the accuracy delta
+//! quantified by the fleet differential suite and `fleetbench`.
 
 use crate::batch::BatchEngine;
 use crate::confidence::Confidence;
@@ -410,12 +410,6 @@ impl ModelRegistry {
             hydrations: 0,
             rehydrations: 0,
         }
-    }
-
-    /// An empty registry configured entirely from the environment
-    /// (`ROBUSTHD_FLEET_*`, `ROBUSTHD_THREADS`, `ROBUSTHD_KERNEL_TIER`).
-    pub fn from_env() -> Self {
-        Self::new(FleetConfig::from_env())
     }
 
     /// The registry's fleet configuration.

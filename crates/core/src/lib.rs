@@ -45,8 +45,9 @@
 //!    [`supervisor::ResilienceSupervisor::serve_raw_batch_with_scores`] in
 //!    a TCP daemon whose request coalescer micro-batches concurrent
 //!    single-query traffic ([`ServeConfig`]: window, batch ceiling, and
-//!    admission-queue depth via the `ROBUSTHD_SERVE_*` flags); answers are
-//!    bit-identical to solo serving at any coalescing configuration.
+//!    admission-queue depth, set through its builder or the daemon's
+//!    command-line options); answers are bit-identical to solo serving at
+//!    any coalescing configuration.
 //!
 //! # Quickstart
 //!
@@ -86,12 +87,10 @@ mod pipeline;
 pub use batch::{BatchEngine, BatchScore};
 pub use confidence::Confidence;
 pub use config::{
-    AdvConfig, BatchConfig, BatchConfigBuilder, ConfigError, EscalationLevel, FlagInfo,
-    FlagRegistry, FleetConfig, FleetConfigBuilder, HdcConfig, HdcConfigBuilder, KernelConfig,
-    RecoveryConfig, RecoveryConfigBuilder, ServeConfig, ServeConfigBuilder, SubstitutionMode,
-    SupervisorConfig, SupervisorConfigBuilder, ADV_CANDIDATES_ENV_VAR, ADV_SEED_ENV_VAR,
-    FLEET_BUDGET_BYTES_ENV_VAR, FLEET_LOGHD_ENV_VAR, KERNEL_TIER_ENV_VAR, SERVE_MAX_BATCH_ENV_VAR,
-    SERVE_QUEUE_DEPTH_ENV_VAR, SERVE_WINDOW_ENV_VAR, THREADS_ENV_VAR,
+    BatchConfig, BatchConfigBuilder, ConfigError, EscalationLevel, FlagInfo, FlagRegistry,
+    FleetConfig, FleetConfigBuilder, HdcConfig, HdcConfigBuilder, KernelConfig, RecoveryConfig,
+    RecoveryConfigBuilder, ServeConfig, ServeConfigBuilder, SubstitutionMode, SupervisorConfig,
+    SupervisorConfigBuilder, KERNEL_TIER_ENV_VAR, THREADS_ENV_VAR,
 };
 pub use encoding::{Encoder, RandomProjectionEncoder, RecordEncoder};
 pub use fleet::{FleetAnswer, FleetError, FleetStats, LogHdModel, ModelRegistry};

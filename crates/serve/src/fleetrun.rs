@@ -85,7 +85,7 @@ impl Default for FleetBenchOptions {
             rows_per_class: 8,
             budget_models: 16,
             seed: 0,
-            config: ServeConfig::from_env(),
+            config: ServeConfig::default(),
             batch: BatchConfig::from_env(),
             clients: 16,
             requests_per_client: 64,

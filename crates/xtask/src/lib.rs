@@ -14,8 +14,9 @@
 //!    (the `FlagRegistry` module); every `*_ENV_VAR`
 //!    constant is registered in `FlagRegistry::flags`; `README.md`
 //!    documents exactly the registered set (drift in either direction
-//!    fails); and the `robusthd flags` subcommand is wired to print the
-//!    registry.
+//!    fails); every `ROBUSTHD_*` token in workspace source (comments and
+//!    string literals included) names a registered flag; and the
+//!    `robusthd flags` subcommand is wired to print the registry.
 //! 3. **Fast/reference duality** ([`lint_duality`]) — every config
 //!    toggle in `config.rs` that owns a fast path (a `fast_path` field or
 //!    a `from_env` reader) is named by at least one `*_differential.rs`
@@ -358,16 +359,17 @@ pub fn lint_flags(ws: &Workspace) -> Vec<Diagnostic> {
         });
     }
 
+    let known: BTreeSet<String> = registered
+        .iter()
+        .map(|(_, flag_name, _)| flag_name.clone())
+        .collect();
+
     // 2c. README drift, both directions.
     let readme_path = ws.root.join("README.md");
     if let Ok(readme) = fs::read_to_string(&readme_path) {
         let documented: BTreeSet<String> = flag_tokens(&readme)
             .into_iter()
             .map(|(name, _)| name)
-            .collect();
-        let known: BTreeSet<String> = registered
-            .iter()
-            .map(|(_, flag_name, _)| flag_name.clone())
             .collect();
         for (_, flag_name, line) in &registered {
             if !documented.contains(flag_name) {
@@ -397,7 +399,29 @@ pub fn lint_flags(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
 
-    // 2d. The `robusthd flags` subcommand prints the registry.
+    // 2d. Every `ROBUSTHD_*` token in workspace source — doc comments,
+    // help text and string literals included — names a registered flag
+    // (the lint engine exempt — it quotes made-up names).
+    for file in &ws.files {
+        if file.path.starts_with("crates/xtask") {
+            continue;
+        }
+        for (token, line) in flag_tokens(&file.raw) {
+            if !known.contains(&token) {
+                out.push(Diagnostic {
+                    lint: "flag-unknown",
+                    file: file.path.clone(),
+                    line,
+                    message: format!(
+                        "{token} is not registered in FlagRegistry — stale docs or \
+                         help text, or an unregistered flag"
+                    ),
+                });
+            }
+        }
+    }
+
+    // 2e. The `robusthd flags` subcommand prints the registry.
     if !registered.is_empty() {
         if let Some(commands) = ws.file("crates/cli/src/commands.rs") {
             if !commands.code.contains("FlagRegistry") {

@@ -84,6 +84,15 @@ fn readme_drift_fires_on_the_stale_row() {
 }
 
 #[test]
+fn stale_flag_mention_fires_on_the_help_line() {
+    let d = single("stale_flag_mention");
+    assert_eq!(d.lint, "flag-unknown");
+    assert_eq!(d.file, Path::new("crates/cli/src/help.rs"));
+    assert_eq!(d.line, 5, "must point at the ROBUSTHD_GADGETS help line");
+    assert!(d.message.contains("ROBUSTHD_GADGETS"));
+}
+
+#[test]
 fn undocumented_fast_path_fires_duality() {
     let d = single("undocumented_fast_path");
     assert_eq!(d.lint, "fast-duality");
