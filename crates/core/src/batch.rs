@@ -127,20 +127,43 @@ pub fn scan_chunk_faults(
     FaultScan { faulty, inspected }
 }
 
-/// Similarities derived from Hamming distances exactly as
-/// [`hypervector::BinaryHypervector::similarity`] computes them, in class
-/// order — the float inputs [`Confidence::from_similarities`] expects.
+/// Similarity derived from a Hamming distance exactly as
+/// [`hypervector::BinaryHypervector::similarity`] computes it.
+fn similarity_from_distance(distance: usize, dim: usize) -> f64 {
+    if dim == 0 {
+        1.0
+    } else {
+        1.0 - distance as f64 / dim as f64
+    }
+}
+
+/// [`similarity_from_distance`] for every class, in class order — the
+/// float inputs [`Confidence::from_similarities`] expects.
 fn similarities_from_distances(distances: &[usize], dim: usize) -> Vec<f64> {
     distances
         .iter()
-        .map(|&d| {
-            if dim == 0 {
-                1.0
-            } else {
-                1.0 - d as f64 / dim as f64
-            }
-        })
+        .map(|&d| similarity_from_distance(d, dim))
         .collect()
+}
+
+/// `(predicted, margin)` from one query's class distances, bit-identical
+/// to [`BatchScore::predicted`] and [`Confidence::margin`] of the same
+/// distances. The similarity is non-increasing in the distance, so the two
+/// highest similarities are those of the two lowest distances: the argmin
+/// and the lowest distance among the other classes.
+fn predicted_margin(distances: &[usize], dim: usize) -> (usize, f64) {
+    let predicted = argmin_first(distances);
+    let runner_up = distances
+        .iter()
+        .enumerate()
+        .filter(|&(c, _)| c != predicted)
+        .map(|(_, &d)| d)
+        .min();
+    let margin = runner_up.map_or(0.0, |d| {
+        // audit:allow(panic): predicted is an index of distances
+        similarity_from_distance(distances[predicted], dim) - similarity_from_distance(d, dim)
+    });
+    (predicted, margin)
 }
 
 /// The parallel batched inference engine.
@@ -371,6 +394,34 @@ impl BatchEngine {
                         predicted: argmin_first(&distances),
                         confidence: Confidence::from_similarities(&similarities, beta),
                     }
+                })
+                .collect()
+        })
+    }
+
+    /// Predicted label and raw similarity margin for every query: the
+    /// `(predicted, confidence.margin)` of [`BatchEngine::evaluate_batch`],
+    /// bit for bit, without the softmax, the probability vector or the
+    /// sort. This is the supervisor's canary probe, which reads nothing
+    /// else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query dimension differs from the model's.
+    pub fn predict_margins_batch(
+        &self,
+        model: &TrainedModel,
+        queries: &[BinaryHypervector],
+    ) -> Vec<(usize, f64)> {
+        let packed = model.packed();
+        let dim = model.dim();
+        self.map_shards(queries, |shard| {
+            let mut distances = Vec::new();
+            shard
+                .iter()
+                .map(|query| {
+                    packed.hamming_all_into(query, &mut distances);
+                    predicted_margin(&distances, dim)
                 })
                 .collect()
         })

@@ -158,12 +158,12 @@ impl HealthMonitor {
             "calibration traffic must not be empty"
         );
         let confidence_sum: f64 = assessments.iter().map(|c| c.confidence).sum();
-        let margins: Vec<f64> = assessments.iter().map(|c| c.margin).collect();
+        let mut margins: Vec<f64> = assessments.iter().map(|c| c.margin).collect();
         self.baseline = Some(HealthSnapshot {
             window: assessments.len(),
             mean_confidence: confidence_sum / assessments.len() as f64,
             mean_margin: margins.iter().sum::<f64>() / assessments.len() as f64,
-            median_margin: median(&margins),
+            median_margin: median(&mut margins),
         });
     }
 
@@ -198,12 +198,12 @@ impl HealthMonitor {
             return None;
         }
         let n = self.confidences.len() as f64;
-        let margins: Vec<f64> = self.margins.iter().copied().collect();
+        let mut margins: Vec<f64> = self.margins.iter().copied().collect();
         Some(HealthSnapshot {
             window: self.confidences.len(),
             mean_confidence: self.confidences.iter().sum::<f64>() / n,
             mean_margin: margins.iter().sum::<f64>() / n,
-            median_margin: median(&margins),
+            median_margin: median(&mut margins),
         })
     }
 
@@ -249,50 +249,30 @@ impl HealthMonitor {
         }
     }
 
-    /// Judges an arbitrary query set against the calibrated baseline
-    /// without touching the sliding window.
-    ///
-    /// This is the *canary probe*: re-scoring retained known-good traffic
-    /// that live serving (and any repair loop feeding on it) has never
-    /// seen. A repair that merely overfits the live window restores the
-    /// windowed statistics but not the canaries', so probing catches
-    /// whitewashed damage that [`HealthMonitor::verdict`] alone would miss.
-    ///
-    /// Returns [`HealthVerdict::InsufficientTraffic`] for an empty set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitor was never calibrated.
-    pub fn probe(
-        &self,
-        model: &TrainedModel,
-        queries: &[BinaryHypervector],
-        softmax_beta: f64,
-    ) -> HealthVerdict {
-        let margins: Vec<f64> = queries
-            .iter()
-            .map(|q| Confidence::evaluate(model, q, softmax_beta).margin)
-            .collect();
-        self.judge_margins(&margins)
-    }
-
     /// Judges a set of already-computed raw margins against the calibrated
-    /// baseline, without touching the sliding window — the canary probe
-    /// with batch-computed inputs (see [`HealthMonitor::probe`]).
+    /// baseline, without touching the sliding window.
+    ///
+    /// This is the *canary probe*: the supervisor re-scores retained
+    /// known-good traffic that live serving (and any repair loop feeding
+    /// on it) has never seen, and judges those margins here. A repair that
+    /// merely overfits the live window restores the windowed statistics
+    /// but not the canaries', so probing catches whitewashed damage that
+    /// [`HealthMonitor::verdict`] alone would miss. The margins are
+    /// consumed: the median is selected in place.
     ///
     /// Returns [`HealthVerdict::InsufficientTraffic`] for an empty set.
     ///
     /// # Panics
     ///
     /// Panics if the monitor was never calibrated.
-    pub fn judge_margins(&self, margins: &[f64]) -> HealthVerdict {
+    pub fn judge_margins(&self, mut margins: Vec<f64>) -> HealthVerdict {
         let baseline = self.baseline.expect("monitor must be calibrated first"); // audit:allow(panic): documented precondition: calibrate before verdict
         if margins.is_empty() {
             return HealthVerdict::InsufficientTraffic;
         }
         let mean = margins.iter().sum::<f64>() / margins.len() as f64;
         if mean < baseline.mean_margin * self.sensitivity
-            || median(margins) < baseline.median_margin * self.sensitivity
+            || median(&mut margins) < baseline.median_margin * self.sensitivity
         {
             HealthVerdict::Degraded
         } else {
@@ -302,16 +282,22 @@ impl HealthMonitor {
 }
 
 /// Median of a non-empty sample (mean of the two middle elements when the
-/// length is even).
-fn median(sample: &[f64]) -> f64 {
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid] // audit:allow(panic): odd non-empty sample: mid < len
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0 // audit:allow(panic): even non-empty sample: 1 <= mid < len
+/// length is even), in [`f64::total_cmp`] order. Selects in place instead
+/// of sorting, so `sample` is left reordered.
+fn median(sample: &mut [f64]) -> f64 {
+    let mid = sample.len() / 2;
+    let odd = sample.len() % 2 == 1;
+    let (below, &mut upper, _) = sample.select_nth_unstable_by(mid, f64::total_cmp);
+    if odd {
+        return upper;
     }
+    // Even length: the lower middle is the largest element below `mid`.
+    let lower = below
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .unwrap_or(upper);
+    (lower + upper) / 2.0
 }
 
 impl fmt::Debug for HealthMonitor {
@@ -333,10 +319,12 @@ mod tests {
 
     #[test]
     fn median_handles_odd_even_and_outliers() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+        assert_eq!(median(&mut [2.0, 1.0]), 1.5);
         // A single huge outlier moves the mean but not the median.
-        assert_eq!(median(&[0.01, 0.01, 0.01, 0.01, 100.0]), 0.01);
+        assert_eq!(median(&mut [0.01, 0.01, 0.01, 0.01, 100.0]), 0.01);
     }
 
     fn setup() -> (TrainedModel, Vec<BinaryHypervector>, f64) {

@@ -23,7 +23,7 @@ use crate::config::{RecoveryConfig, SubstitutionMode};
 use crate::model::TrainedModel;
 use hypervector::BinaryHypervector;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -133,6 +133,18 @@ pub struct RecoveryEngine {
     /// Per-(class, dimension) saturating vote counters, allocated lazily on
     /// first use when running in majority-counter mode.
     counters: Vec<Vec<i8>>,
+    /// Per-word flip masks of the substitution in progress, reused across
+    /// calls so substitution allocates nothing.
+    flips: Vec<u64>,
+}
+
+/// Which implementation [`RecoveryEngine`] runs its RNG-driven steps with.
+#[derive(Clone, Copy)]
+enum Path {
+    /// Word-parallel vote and substitution (the runtime path).
+    Words,
+    /// One bit at a time (the oracle).
+    Bits,
 }
 
 impl RecoveryEngine {
@@ -154,6 +166,7 @@ impl RecoveryEngine {
             rng: StdRng::seed_from_u64(seed ^ SUBSTITUTION_SEED_MIX),
             stats: RecoveryStats::default(),
             counters: Vec::new(),
+            flips: Vec::new(),
         }
     }
 
@@ -184,6 +197,32 @@ impl RecoveryEngine {
     ///
     /// Panics if the query dimension differs from the model's.
     pub fn observe(&mut self, model: &mut TrainedModel, query: &BinaryHypervector) -> Observation {
+        self.observe_on(Path::Words, model, query)
+    }
+
+    /// The per-bit reference form of [`RecoveryEngine::observe`]: every
+    /// vote and substitution draws and decides one bit at a time. Consumes
+    /// the same RNG stream and leaves the same model bits, counters and
+    /// statistics as `observe`; kept as the oracle the recovery
+    /// differential suite compares against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query dimension differs from the model's.
+    pub fn observe_reference(
+        &mut self,
+        model: &mut TrainedModel,
+        query: &BinaryHypervector,
+    ) -> Observation {
+        self.observe_on(Path::Bits, model, query)
+    }
+
+    fn observe_on(
+        &mut self,
+        path: Path,
+        model: &mut TrainedModel,
+        query: &BinaryHypervector,
+    ) -> Observation {
         assert_eq!(
             query.dim(),
             model.dim(),
@@ -211,15 +250,25 @@ impl RecoveryEngine {
         // unconditionally keeps the counters an unbiased majority of the
         // trusted traffic, while *writing* stays gated by detection.
         if let SubstitutionMode::MajorityCounter { saturation } = self.config.substitution {
-            self.vote(model, predicted, query, saturation);
+            if self.counters.is_empty() {
+                self.counters = vec![vec![0i8; model.dim()]; model.num_classes()];
+            }
+            match path {
+                Path::Words => self.vote(predicted, query, saturation),
+                Path::Bits => self.vote_per_bit(predicted, query, saturation),
+            }
         }
 
         let faulty_chunks = self.detect_faulty_chunks(model, query, predicted);
+        let mut substitute = |engine: &mut Self, start: usize, end: usize| match path {
+            Path::Words => engine.substitute(model, predicted, query, start, end),
+            Path::Bits => engine.substitute_per_bit(model, predicted, query, start, end),
+        };
         let bits_changed = if self.config.faulty_chunks_only {
             let mut changed = 0;
             for &chunk in &faulty_chunks {
-                let (start, end) = self.chunk_bounds(model.dim(), chunk);
-                changed += self.substitute(model, predicted, query, start, end);
+                let (start, end) = self.chunk_bounds(query.dim(), chunk);
+                changed += substitute(self, start, end);
             }
             changed
         } else if faulty_chunks.is_empty() {
@@ -227,7 +276,7 @@ impl RecoveryEngine {
         } else {
             // Whole-vector substitution (the pQ|(1-p)C form of §4.3),
             // triggered whenever any chunk disagrees.
-            self.substitute(model, predicted, query, 0, model.dim())
+            substitute(self, 0, query.dim())
         };
         self.stats.bits_changed += bits_changed;
 
@@ -293,23 +342,42 @@ impl RecoveryEngine {
     /// Accumulates a trusted query's votes into the predicted class's
     /// saturating counters (majority-counter mode only). Each dimension
     /// votes with probability `S`.
-    fn vote(
-        &mut self,
-        model: &TrainedModel,
-        label: usize,
-        query: &BinaryHypervector,
-        saturation: u8,
-    ) {
-        if self.counters.is_empty() {
-            self.counters = vec![vec![0i8; model.dim()]; model.num_classes()];
+    ///
+    /// Word-parallel: per 64-bit word of the query, the 64 Bernoulli draws
+    /// are taken in bit order into a hit mask ([`draw_hits`]), then the
+    /// word's counters step toward the query bits without a branch. A
+    /// counter whose draw missed keeps its value. Bit-identical to
+    /// [`RecoveryEngine::vote_per_bit`], RNG stream included.
+    fn vote(&mut self, label: usize, query: &BinaryHypervector, saturation: u8) {
+        let sat = i8::try_from(saturation).unwrap_or(i8::MAX);
+        let threshold = hit_threshold(self.config.substitution_rate);
+        // audit:allow(panic): counters has one row per class, sized in observe_on
+        let counters = &mut self.counters[label];
+        for (counters, &word) in counters.chunks_mut(64).zip(query.bits().words()) {
+            let hits = draw_hits(&mut self.rng, threshold, counters.len());
+            for (j, counter) in counters.iter_mut().enumerate() {
+                let step = if (word >> j) & 1 == 1 { 1 } else { -1 };
+                let voted = counter.saturating_add(step).clamp(-sat, sat);
+                *counter = if (hits >> j) & 1 == 1 {
+                    voted
+                } else {
+                    *counter
+                };
+            }
         }
+    }
+
+    /// The per-bit form of [`RecoveryEngine::vote`] behind
+    /// [`RecoveryEngine::observe_reference`]: one `random_bool` per
+    /// dimension.
+    fn vote_per_bit(&mut self, label: usize, query: &BinaryHypervector, saturation: u8) {
         let sat = i8::try_from(saturation).unwrap_or(i8::MAX);
         let rate = self.config.substitution_rate;
-        // audit:allow(panic): counters has one row per class, sized above
+        // audit:allow(panic): counters has one row per class, sized in observe_on
         for (i, counter) in self.counters[label].iter_mut().enumerate() {
             if self.rng.random_bool(rate) {
                 let delta = if query.get(i) { 1 } else { -1 };
-                *counter = (*counter + delta).clamp(-sat, sat);
+                *counter = counter.saturating_add(delta).clamp(-sat, sat);
             }
         }
     }
@@ -319,7 +387,75 @@ impl RecoveryEngine {
     /// query bit; in [`SubstitutionMode::MajorityCounter`] the class bits
     /// are regenerated from the accumulated majority counters. Returns how
     /// many stored bits changed.
+    ///
+    /// Word-parallel: each word of the range yields a mask of selected
+    /// positions and a mask of the bits that change, and the class is
+    /// borrowed mutably — which drops the model's packed scoring copy —
+    /// only when some stored bit actually changes. Bit-identical to
+    /// [`RecoveryEngine::substitute_per_bit`], RNG stream included.
+    // audit:allow(panic): word indices lie in start / 64 ..= (end - 1) / 64 and end <= dim
     fn substitute(
+        &mut self,
+        model: &mut TrainedModel,
+        label: usize,
+        query: &BinaryHypervector,
+        start: usize,
+        end: usize,
+    ) -> usize {
+        if start >= end {
+            return 0;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let span = |w: usize| {
+            let lo = if w == first { start % 64 } else { 0 };
+            let hi = if w == last { (end - 1) % 64 + 1 } else { 64 };
+            (lo, hi)
+        };
+        let query_words = query.bits().words();
+        let class_words = model.class(label).bits().words();
+        self.flips.clear();
+        let mut selected = 0usize;
+        match self.config.substitution {
+            SubstitutionMode::Overwrite => {
+                let threshold = hit_threshold(self.config.substitution_rate);
+                for w in first..=last {
+                    let (lo, hi) = span(w);
+                    let hits = draw_hits(&mut self.rng, threshold, hi - lo) << lo;
+                    selected += hits.count_ones() as usize;
+                    self.flips.push((class_words[w] ^ query_words[w]) & hits);
+                }
+            }
+            SubstitutionMode::MajorityCounter { saturation } => {
+                // Only fully saturated counters may write (see
+                // `substitute_per_bit`).
+                let sat = i8::try_from(saturation).unwrap_or(i8::MAX);
+                let counters = &self.counters[label];
+                for w in first..=last {
+                    let (lo, hi) = span(w);
+                    let (mut saturated, mut target) = (0u64, 0u64);
+                    for (j, &counter) in counters[w * 64 + lo..w * 64 + hi].iter().enumerate() {
+                        saturated |= u64::from(counter.abs() >= sat) << (lo + j);
+                        target |= u64::from(counter > 0) << (lo + j);
+                    }
+                    selected += saturated.count_ones() as usize;
+                    self.flips.push((class_words[w] ^ target) & saturated);
+                }
+            }
+        }
+        self.stats.bits_substituted += selected;
+        let changed: usize = self.flips.iter().map(|f| f.count_ones() as usize).sum();
+        if changed > 0 {
+            let words = model.class_mut(label).bits_mut().words_mut();
+            for (word, flip) in words[first..=last].iter_mut().zip(&self.flips) {
+                *word ^= flip;
+            }
+        }
+        changed
+    }
+
+    /// The per-bit form of [`RecoveryEngine::substitute`] behind
+    /// [`RecoveryEngine::observe_reference`].
+    fn substitute_per_bit(
         &mut self,
         model: &mut TrainedModel,
         label: usize,
@@ -366,6 +502,36 @@ impl RecoveryEngine {
         }
         changed
     }
+}
+
+/// `2^53`: [`RngCore::next_f64`] is `(u >> 11) · 2^-53` for a raw draw `u`.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The raw-draw threshold equivalent to `random_bool(rate)`:
+/// `next_f64() < rate` holds exactly when `(u >> 11) < ceil(rate · 2^53)`,
+/// because `u >> 11` is an integer and scaling by a power of two is exact.
+/// A rate of 1.0 gives `2^53`, which every draw is below.
+///
+/// # Panics
+///
+/// Panics if `rate` lies outside `[0, 1]`, as `random_bool` does.
+fn hit_threshold(rate: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&rate),
+        "p={rate} is outside range [0.0, 1.0]"
+    );
+    hypervector::cast::round_to_usize((rate * TWO_POW_53).ceil()) as u64
+}
+
+/// Draws `bits` (at most 64) Bernoulli trials in order, one raw RNG value
+/// each — the same draws `random_bool` would take — and returns them as a
+/// mask: bit `j` is set when trial `j` hit.
+fn draw_hits(rng: &mut StdRng, threshold: u64, bits: usize) -> u64 {
+    let mut hits = 0u64;
+    for j in 0..bits {
+        hits |= u64::from((rng.next_u64() >> 11) < threshold) << j;
+    }
+    hits
 }
 
 /// Mixed into the user seed so the substitution RNG decorrelates from other

@@ -8,10 +8,10 @@
 //! 1. **Monitor.** Every served query feeds the [`HealthMonitor`]; the
 //!    windowed verdict decides whether the loop intervenes at all. A
 //!    healthy-looking window is additionally cross-checked by a *canary
-//!    probe* ([`HealthMonitor::probe`]) over the retained calibration
-//!    traffic: live statistics can be whitewashed by a repair loop
-//!    overfitting the very queries it feeds on, but a disjoint canary set
-//!    cannot.
+//!    probe* ([`HealthMonitor::judge_margins`] plus golden-answer
+//!    agreement) over the retained calibration traffic: live statistics
+//!    can be whitewashed by a repair loop overfitting the very queries it
+//!    feeds on, but a disjoint canary set cannot.
 //! 2. **Escalate.** On a [`HealthVerdict::Degraded`] batch the
 //!    [`RecoveryEngine`] runs at the current rung of an escalation ladder
 //!    ([`EscalationLevel`]). Each failed round climbs one rung: higher
@@ -190,8 +190,8 @@ impl ResilienceSupervisor {
     /// called once before serving.
     ///
     /// The canaries are re-scored against the model every batch (see
-    /// [`HealthMonitor::probe`]), so the cost of a batch grows with the
-    /// calibration set's size. For the probe to add protection beyond the
+    /// [`HealthMonitor::judge_margins`]), so the cost of a batch grows with
+    /// the calibration set's size. For the probe to add protection beyond the
     /// live window, calibrate on traffic that will *not* be served again:
     /// a repair loop can overfit the queries it feeds on, but not a
     /// disjoint canary set.
@@ -299,7 +299,7 @@ impl ResilienceSupervisor {
         // threads); each result then feeds the monitor window and the
         // quarantine gate in query order, exactly as per-query serving did.
         let scores = self.batch.evaluate_batch(model, queries, beta);
-        self.serve_scored(model, scores, || Cow::Borrowed(queries))
+        self.serve_scored(model, &scores, || Cow::Borrowed(queries))
     }
 
     /// Serves one batch exactly like [`ResilienceSupervisor::serve_batch`]
@@ -325,7 +325,7 @@ impl ResilienceSupervisor {
     ) -> (BatchReport, Vec<crate::batch::BatchScore>) {
         let beta = self.hdc.softmax_beta;
         let scores = self.batch.evaluate_batch(model, queries, beta);
-        let report = self.serve_scored(model, scores.clone(), || Cow::Borrowed(queries));
+        let report = self.serve_scored(model, &scores, || Cow::Borrowed(queries));
         (report, scores)
     }
 
@@ -355,7 +355,7 @@ impl ResilienceSupervisor {
         // Clone the engine (config-only) so the lazy encode closure does
         // not borrow `self` across the `&mut self` call below.
         let batch = self.batch.clone();
-        self.serve_scored(model, scores, move || {
+        self.serve_scored(model, &scores, move || {
             Cow::Owned(batch.encode_batch(encoder, rows))
         })
     }
@@ -383,7 +383,7 @@ impl ResilienceSupervisor {
         let beta = self.hdc.softmax_beta;
         let scores = self.batch.evaluate_raw_batch(encoder, model, rows, beta);
         let batch = self.batch.clone();
-        let report = self.serve_scored(model, scores.clone(), move || {
+        let report = self.serve_scored(model, &scores, move || {
             Cow::Owned(batch.encode_batch(encoder, rows))
         });
         (report, scores)
@@ -417,7 +417,7 @@ impl ResilienceSupervisor {
     fn serve_scored<'q>(
         &mut self,
         model: &mut TrainedModel,
-        scores: Vec<crate::batch::BatchScore>,
+        scores: &[crate::batch::BatchScore],
         encoded: impl FnOnce() -> Cow<'q, [BinaryHypervector]>,
     ) -> BatchReport {
         assert!(
@@ -432,7 +432,7 @@ impl ResilienceSupervisor {
         self.step += 1;
         let mut answers = Vec::with_capacity(scores.len());
         let mut unreliable = 0usize;
-        for score in &scores {
+        for score in scores {
             self.monitor.record(&score.confidence);
             // audit:allow(panic): predicted is an argmin over the class axis
             if self.quarantined[score.predicted] {
@@ -563,11 +563,12 @@ impl ResilienceSupervisor {
     /// The live window verdict hardened by the canary probe: a window that
     /// looks healthy is only trusted when re-scoring the retained
     /// known-good canaries agrees — both their margin statistics
-    /// ([`HealthMonitor::probe`]) and their golden-answer agreement. The
-    /// latter is the only check that catches a model whose classes were
-    /// confidently rewritten into a label permutation: margins recover,
-    /// answers do not. Returns the combined verdict and whether a canary
-    /// check raised the alarm on an otherwise-clean window.
+    /// ([`HealthMonitor::judge_margins`]) and their golden-answer
+    /// agreement. The latter is the only check that catches a model whose
+    /// classes were confidently rewritten into a label permutation:
+    /// margins recover, answers do not. Returns the combined verdict and
+    /// whether a canary check raised the alarm on an otherwise-clean
+    /// window.
     fn judged_verdict(&self, model: &TrainedModel) -> (HealthVerdict, bool) {
         let live = self.monitor.verdict();
         if live != HealthVerdict::Healthy {
@@ -575,18 +576,17 @@ impl ResilienceSupervisor {
         }
         // One batched pass over the canaries yields both probe inputs: the
         // margins for the statistical check and the predictions for the
-        // golden-answer check.
-        let scores = self
-            .batch
-            .evaluate_batch(model, &self.canaries, self.hdc.softmax_beta);
-        let margins: Vec<f64> = scores.iter().map(|s| s.confidence.margin).collect();
-        if self.monitor.judge_margins(&margins) == HealthVerdict::Degraded {
+        // golden-answer check. The canaries are re-scored every time,
+        // because bit flips reach the model without passing through here.
+        let probes = self.batch.predict_margins_batch(model, &self.canaries);
+        let margins: Vec<f64> = probes.iter().map(|&(_, margin)| margin).collect();
+        if self.monitor.judge_margins(margins) == HealthVerdict::Degraded {
             return (HealthVerdict::Degraded, true);
         }
-        let agreeing = scores
+        let agreeing = probes
             .iter()
             .zip(&self.canary_answers)
-            .filter(|(s, &golden)| s.predicted == golden)
+            .filter(|(&(predicted, _), &golden)| predicted == golden)
             .count();
         let agreement = agreeing as f64 / self.canary_answers.len().max(1) as f64;
         if agreement < self.policy.canary_agreement_floor {

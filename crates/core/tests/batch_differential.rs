@@ -241,3 +241,47 @@ fn fault_scans_are_bit_identical_across_thread_counts() {
         }
     }
 }
+
+/// The canary probe's `(predicted, margin)` must equal
+/// `(predicted, confidence.margin)` of the full scoring pass to the bit.
+fn assert_probe_matches_scores(model: &TrainedModel, queries: &[BinaryHypervector], context: &str) {
+    let want: Vec<(usize, u64)> = engine(1, 1)
+        .evaluate_batch(model, queries, BETA)
+        .iter()
+        .map(|s| (s.predicted, s.confidence.margin.to_bits()))
+        .collect();
+    for &threads in &[1usize, 2, 8] {
+        let got: Vec<(usize, u64)> = engine(threads, 3)
+            .predict_margins_batch(model, queries)
+            .iter()
+            .map(|&(predicted, margin)| (predicted, margin.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{context}, {threads} threads");
+    }
+}
+
+#[test]
+fn canary_probe_matches_full_scores_on_clean_and_attacked_models() {
+    let (clean, queries) = setup(21, 12, 70);
+    assert_probe_matches_scores(&clean, &queries, "clean");
+    let attacked = attack(&clean, 0.3, 0xC0FE);
+    assert_probe_matches_scores(&attacked, &queries, "attacked");
+    let single = TrainedModel::from_classes(vec![clean.class(0).clone()]);
+    assert_probe_matches_scores(&single, &queries, "single class");
+}
+
+#[test]
+fn canary_probe_matches_full_scores_on_tie_heavy_small_models() {
+    // At a handful of dimensions most queries sit at equal distance from
+    // several classes, so argmin tie-breaks and zero margins dominate.
+    let mut sampler = HypervectorSampler::seed_from(23);
+    for dim in [0usize, 1, 2, 3, 5, 8] {
+        for classes in [1usize, 2, 3, 6] {
+            let model =
+                TrainedModel::from_classes((0..classes).map(|_| sampler.binary(dim)).collect());
+            let mut queries: Vec<_> = (0..40).map(|_| sampler.binary(dim)).collect();
+            queries.extend((0..classes).map(|c| model.class(c).clone()));
+            assert_probe_matches_scores(&model, &queries, &format!("dim {dim}, {classes} classes"));
+        }
+    }
+}

@@ -8,7 +8,7 @@
 use faultsim::{AttackCampaign, ErrorRateSchedule};
 use hypervector::BinaryHypervector;
 use robusthd::diagnostics::{HealthMonitor, HealthVerdict};
-use robusthd::supervisor::{run_soak, ResilienceSupervisor};
+use robusthd::supervisor::{run_soak, ResilienceSupervisor, SoakReport};
 use robusthd::{
     Encoder, HdcConfig, RecordEncoder, RecoveryConfig, SubstitutionMode, SupervisorConfig,
     TrainedModel,
@@ -24,10 +24,14 @@ struct Deployment {
 }
 
 fn deploy(seed: u64) -> Deployment {
-    let spec = DatasetSpec::ucihar().with_sizes(600, 300);
+    deploy_at(seed, 4096, 600, 300)
+}
+
+fn deploy_at(seed: u64, dim: usize, train: usize, test: usize) -> Deployment {
+    let spec = DatasetSpec::ucihar().with_sizes(train, test);
     let data = GeneratorConfig::new(seed).generate(&spec);
     let config = HdcConfig::builder()
-        .dimension(4096)
+        .dimension(dim)
         .seed(seed)
         .build()
         .expect("valid config");
@@ -64,9 +68,11 @@ fn soak_recovery(seed: u64) -> RecoveryConfig {
         .expect("valid recovery config")
 }
 
-#[test]
-fn chaos_soak_survives_accumulation_and_a_catastrophic_burst() {
-    let mut d = deploy(41);
+/// The chaos soak shared by the survival test and the golden trace:
+/// calibrate on one half of the traffic, serve the other half while a
+/// seeded campaign accumulates diffuse corruption to 12% with a
+/// catastrophic burst at step 6.
+fn chaos_soak(d: &mut Deployment) -> SoakReport {
     let model_bits = d.model.num_classes() * d.model.dim();
 
     // Calibrate (and keep as canaries) one half of the traffic, serve the
@@ -93,7 +99,7 @@ fn chaos_soak_survives_accumulation_and_a_catastrophic_burst() {
         0.015, 0.03, 0.045, 0.06, 0.075, 0.09, 0.10, 0.11, 0.12,
     ]);
     let mut campaign = AttackCampaign::new(schedule, model_bits, 5);
-    let report = run_soak(
+    run_soak(
         &mut sup,
         &mut d.model,
         served,
@@ -119,7 +125,13 @@ fn chaos_soak_survives_accumulation_and_a_catastrophic_burst() {
             model.load_memory_image(&image);
             Some(flipped)
         },
-    );
+    )
+}
+
+#[test]
+fn chaos_soak_survives_accumulation_and_a_catastrophic_burst() {
+    let mut d = deploy(41);
+    let report = chaos_soak(&mut d);
     let json = report.to_json();
 
     // ≥ 10% of the model image corrupted over the run.
@@ -178,6 +190,45 @@ fn chaos_soak_survives_accumulation_and_a_catastrophic_burst() {
         report.rollbacks()
     );
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden trace: the seeded chaos soak at a dimension with a partial tail
+/// word, with majority-counter recovery, must reproduce the recorded JSON
+/// trace and final model bits exactly. Run-to-run determinism alone cannot
+/// catch a deterministic drift in a rewritten repair or scoring path; this
+/// constant can. Regenerate it only for a change that is meant to alter
+/// the supervisor's decisions, and say so.
+#[test]
+fn chaos_soak_trace_and_model_match_the_golden_hash() {
+    let mut d = deploy_at(43, 2000, 600, 300);
+    let report = chaos_soak(&mut d);
+    let max_level = report.steps.iter().map(|s| s.report.level).max();
+    assert!(max_level >= Some(2), "ladder never reached rung 2");
+    assert!(report.rollbacks() >= 1, "no rollback exercised");
+    assert!(
+        report.steps.iter().any(|s| s.report.checkpointed),
+        "no healthy checkpoint exercised"
+    );
+    let words: Vec<u64> = (0..d.model.num_classes())
+        .flat_map(|c| d.model.class(c).bits().words().to_vec())
+        .collect();
+    let hash = fnv1a(
+        report
+            .to_json()
+            .into_bytes()
+            .into_iter()
+            .chain(words.iter().flat_map(|w| w.to_le_bytes())),
+    );
+    assert_eq!(hash, GOLDEN_SOAK_HASH, "trace: {}", report.to_json());
+}
+
+const GOLDEN_SOAK_HASH: u64 = 4_231_931_122_519_607_110;
 
 #[test]
 fn monitor_degrades_under_msb_targeted_campaign_at_paper_rates() {

@@ -177,10 +177,8 @@ impl PackedBits {
     }
 
     /// Number of differing positions restricted to the bit range
-    /// `start..end`, through the shared masked-range kernel
-    /// ([`crate::tier::hamming_range_words`]) — the same helper
-    /// `similarity::chunked_hamming` uses, so the partial-word masking
-    /// logic lives in exactly one place.
+    /// `start..end`, through the tier-dispatched masked-range kernel
+    /// ([`crate::tier::hamming_range_words`]).
     ///
     /// Used by the RobustHD recovery framework to score individual chunks of
     /// a class hypervector without materialising sub-vectors.

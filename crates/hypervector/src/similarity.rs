@@ -135,10 +135,8 @@ impl PackedClasses {
 /// Chunk `i` covers bits `[i*dim/chunks, (i+1)*dim/chunks)` — the same
 /// bounds RobustHD's chunk-fault localization uses — and the result is
 /// bit-identical to calling
-/// [`BinaryHypervector::hamming_distance_range`] once per chunk: both go
-/// through the same masked-range kernel
-/// ([`crate::tier::hamming_range_words`]), exact popcounts over the same
-/// masked words, with no XOR scratch allocation.
+/// [`BinaryHypervector::hamming_distance_range`] once per chunk: both are
+/// exact popcounts of `a ^ b` over the same bit positions.
 ///
 /// # Panics
 ///
@@ -163,9 +161,15 @@ pub fn chunked_hamming(a: &BinaryHypervector, b: &BinaryHypervector, chunks: usi
 /// scratch-reuse form for batch paths that scan chunks per class per
 /// query and must not allocate per call.
 ///
+/// One pass: every word is XORed and popcounted once into a running
+/// prefix count, and each chunk boundary reads that prefix plus one masked
+/// popcount of the word it falls inside. A chunk's distance is the
+/// difference of the prefixes at its two boundaries.
+///
 /// # Panics
 ///
 /// Panics if the dimensions differ or `chunks` is zero.
+// audit:allow(panic): a boundary's word index is below the word count whenever its in-word offset is nonzero
 pub fn chunked_hamming_into(
     a: &BinaryHypervector,
     b: &BinaryHypervector,
@@ -175,20 +179,30 @@ pub fn chunked_hamming_into(
     assert_eq!(a.dim(), b.dim(), "dimension mismatch in chunked_hamming");
     assert!(chunks > 0, "chunked_hamming needs at least one chunk");
     let dim = a.dim();
-    let tier = crate::tier::active();
     let a_words = a.bits().words();
     let b_words = b.bits().words();
     out.clear();
     out.reserve(chunks);
+    // `counted` is the popcount of `a ^ b` over words `0..word`.
+    let mut word = 0;
+    let mut counted = 0usize;
+    let mut previous = 0usize;
     for chunk in 0..chunks {
-        let start = chunk * dim / chunks;
         let end = (chunk + 1) * dim / chunks;
-        // The shared masked-range kernel (also under
-        // `PackedBits::hamming_range`) owns the partial-word masking; no
-        // XOR scratch buffer is materialized.
-        out.push(crate::tier::hamming_range_words(
-            tier, a_words, b_words, start, end,
-        ));
+        let end_word = end / 64;
+        while word < end_word {
+            counted += (a_words[word] ^ b_words[word]).count_ones() as usize;
+            word += 1;
+        }
+        let offset = end % 64;
+        let prefix = if offset == 0 {
+            counted
+        } else {
+            let mask = (1u64 << offset) - 1;
+            counted + ((a_words[end_word] ^ b_words[end_word]) & mask).count_ones() as usize
+        };
+        out.push(prefix - previous);
+        previous = prefix;
     }
 }
 

@@ -164,8 +164,8 @@ fn hamming_wide(a: &[u64], b: &[u64]) -> usize {
     const STEP: usize = 16 * HS_LANES;
     // Below one full lane group the carry-save machinery cannot engage
     // and its setup costs more than the scalar loop saves (visible on
-    // the 16-word spans `chunked_hamming` scores), so short slices take
-    // the reference path — same exact total either way.
+    // the few-word spans a chunk-sized `hamming_range` scores), so short
+    // slices take the reference path — same exact total either way.
     if a.len() < STEP {
         return hamming_reference(a, b);
     }
@@ -257,11 +257,12 @@ fn span_mask(bit: usize, span: usize) -> u64 {
     }
 }
 
-/// Hamming distance restricted to bit positions `start..end` — the one
-/// shared masked-range kernel under both `PackedBits::hamming_range` and
-/// `similarity::chunked_hamming`: partial head and tail words are masked
-/// scalar popcounts; the full middle words go through
-/// [`hamming_words`] in the requested tier.
+/// Hamming distance restricted to bit positions `start..end` — the
+/// masked-range kernel under `PackedBits::hamming_range`: partial head and
+/// tail words are masked scalar popcounts; the full middle words go
+/// through [`hamming_words`] in the requested tier.
+/// `similarity::chunked_hamming` does not call it: it scores every chunk
+/// of a vector from one running prefix count instead of one span each.
 ///
 /// # Panics
 ///

@@ -165,16 +165,24 @@ proptest! {
 
     /// The fused chunked kernel agrees with per-range Hamming distance for
     /// every chunk of the standard partition, and the chunks sum to the
-    /// total distance.
+    /// total distance: at small chunk counts, at the escalation ladder's
+    /// 20 and 40, and at counts above the dimension (some chunks empty).
     #[test]
     fn fused_chunked_hamming_matches_ranges(
         a in prop::collection::vec(any::<bool>(), 1..260),
-        chunks in 1usize..12,
+        pick in 0usize..16,
+        extra in 1usize..70,
         b_seed in 0u64..1000,
     ) {
         let ha = hv(&a);
         let hb = HypervectorSampler::seed_from(b_seed).binary(a.len());
         let dim = a.len();
+        let chunks = match pick {
+            0..=11 => pick + 1,
+            12 => 20,
+            13 => 40,
+            _ => dim + extra,
+        };
         let per_chunk = hypervector::similarity::chunked_hamming(&ha, &hb, chunks);
         prop_assert_eq!(per_chunk.len(), chunks);
         for (i, &d) in per_chunk.iter().enumerate() {
