@@ -195,11 +195,6 @@ fn cross_check(ops: &Operands, dim: usize) {
                 }
             }
         }
-        let mut x_ref = vec![0u64; ops.words];
-        let mut x_wide = vec![0u64; ops.words];
-        tier::xor_words_into(KernelTier::Reference, &mut x_ref, aw, bw);
-        tier::xor_words_into(KernelTier::Wide, &mut x_wide, aw, bw);
-        assert_eq!(x_wide, x_ref, "wide codebook xor diverges from reference");
     }
 
     for query in &ops.queries {
@@ -234,6 +229,18 @@ fn cross_check(ops: &Operands, dim: usize) {
     assert_eq!(
         planes_wide, planes_ref,
         "wide ripple diverges from reference"
+    );
+    // Fused bind+bundle: ripple the XOR of every operand pair.
+    let mut xor_ref = vec![vec![0u64; ops.words]; 8];
+    let mut xor_wide = vec![vec![0u64; ops.words]; 8];
+    for (a, b) in &ops.pairs {
+        let (aw, bw) = (a.bits().words(), b.bits().words());
+        tier::ripple_add_xor(KernelTier::Reference, &mut xor_ref, aw, bw);
+        tier::ripple_add_xor(KernelTier::Wide, &mut xor_wide, aw, bw);
+    }
+    assert_eq!(
+        xor_wide, xor_ref,
+        "wide ripple_add_xor diverges from reference"
     );
     let added = inputs.len() as i64;
     let mut counts_ref = vec![0i64; dim];
@@ -444,21 +451,22 @@ pub fn run(
         acc
     }));
 
-    // Bound-pair codebook XOR.
-    let xor_bytes = 3 * words * BYTES_PER_WORD;
-    let xor_sweeps = (pass_bytes / (xor_bytes * ops.pairs.len())).max(1);
-    let mut bound = vec![0u64; words];
+    // Fused bind+bundle (the record-encoding kernel): ripple the XOR of
+    // every operand pair into bit-planes.
+    let xor_bytes = ops.pairs.len() * pair_bytes;
+    let xor_sweeps = (pass_bytes / (4 * xor_bytes)).max(1);
     rows.push(row(
-        "codebook_xor",
-        xor_sweeps * ops.pairs.len() * xor_bytes,
+        "ripple_add_xor",
+        xor_sweeps * xor_bytes,
         repeats,
         |t| {
             let mut acc = 0u64;
             for _ in 0..xor_sweeps {
+                let mut planes = vec![vec![0u64; words]; 8];
                 for (a, b) in &ops.pairs {
-                    tier::xor_words_into(t, &mut bound, a.bits().words(), b.bits().words());
-                    acc = acc.wrapping_add(bound[0]);
+                    tier::ripple_add_xor(t, &mut planes, a.bits().words(), b.bits().words());
                 }
+                acc = acc.wrapping_add(planes[0][0]);
             }
             acc
         },
@@ -530,7 +538,7 @@ mod tests {
                 "majority_ripple",
                 "bipolar_counts",
                 "threshold",
-                "codebook_xor"
+                "ripple_add_xor"
             ]
         );
         assert!(o.rows.iter().all(|r| {

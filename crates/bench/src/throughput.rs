@@ -3,7 +3,7 @@
 //! serving path:
 //!
 //! * **encode** — raw feature rows → binary hypervectors
-//!   ([`BatchEngine::encode_batch`], bound-pair + carry-save fast path);
+//!   ([`BatchEngine::encode_batch`], fused bind+bundle carry-save fast path);
 //! * **score** — pre-encoded hypervectors → predictions
 //!   ([`BatchEngine::predict_batch`], fused popcount kernels);
 //! * **end-to-end** — raw feature rows → predictions in one fused pass

@@ -17,6 +17,7 @@ use robusthd_bench::soak::soak_recovery;
 use robusthd_serve::json::Json;
 use std::fmt::Write as _;
 use std::fs::File;
+use std::io::Write as _;
 use std::path::Path;
 use synthdata::{csv, DatasetSpec, GeneratorConfig, Sample};
 
@@ -27,6 +28,28 @@ fn load_samples(path: &str) -> Result<Vec<Sample>, String> {
         return Err(format!("{path}: dataset is empty"));
     }
     Ok(samples)
+}
+
+/// Replaces the file at `path` only once its new contents are complete:
+/// `write` fills a temporary file beside it, which is synced and renamed
+/// over `path`. If anything fails, an earlier file at `path` is left as it
+/// was and the temporary file is removed.
+fn write_atomically(
+    path: &str,
+    write: impl FnOnce(&mut File) -> Result<(), String>,
+) -> Result<(), String> {
+    let tmp = format!("{path}.{}.tmp", std::process::id());
+    let written = File::create(&tmp)
+        .map_err(|e| format!("cannot create {path}: {e}"))
+        .and_then(|mut file| {
+            write(&mut file)?;
+            file.sync_all().map_err(|e| format!("writing {path}: {e}"))
+        })
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| format!("writing {path}: {e}")));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 struct TrainedPipeline {
@@ -146,10 +169,10 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
 
     let spec = spec.with_sizes(train_size, test_size);
     let data = GeneratorConfig::new(seed).generate(&spec);
-    let write = |path: &str, samples: &[Sample]| -> Result<(), String> {
-        let file =
-            File::create(Path::new(path)).map_err(|e| format!("cannot create {path}: {e}"))?;
-        csv::write_samples(file, samples).map_err(|e| format!("writing {path}: {e}"))
+    let write = |path: &str, samples: &[Sample]| {
+        write_atomically(path, |file| {
+            csv::write_samples(file, samples).map_err(|e| format!("writing {path}: {e}"))
+        })
     };
     write(train_path, &data.train)?;
     write(test_path, &data.test)?;
@@ -386,10 +409,10 @@ pub fn train(argv: &[String]) -> Result<String, String> {
     let labels: Vec<_> = train_samples.iter().map(|s| s.label).collect();
     let model = TrainedModel::train(&encoded, &labels, classes, &config);
 
-    let file = File::create(Path::new(model_path))
-        .map_err(|e| format!("cannot create {model_path}: {e}"))?;
-    persist::save_model(file, &config, features, &model)
-        .map_err(|e| format!("writing {model_path}: {e}"))?;
+    write_atomically(model_path, |file| {
+        persist::save_model(file, &config, features, &model)
+            .map_err(|e| format!("writing {model_path}: {e}"))
+    })?;
     Ok(format!(
         "trained on {} samples ({features} features, {classes} classes, D = {dim}); saved to {model_path}",
         train_samples.len()
@@ -844,7 +867,10 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     let corpus = hunter.hunt(&engine, &pipeline.encoder, &variants, &hunt_rows, beta);
     let mut corpus_note = format!("{} disagreements", corpus.cases.len());
     if let Some(path) = args.get("corpus") {
-        std::fs::write(path, corpus.to_text()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_atomically(path, |file| {
+            file.write_all(corpus.to_text().as_bytes())
+                .map_err(|e| format!("cannot write {path}: {e}"))
+        })?;
         let _ = write!(corpus_note, " (persisted to {path})");
     }
 
@@ -1136,14 +1162,14 @@ robusthd kernelbench — measure execution-tier kernel throughput (GiB/s)
 Times every kernel family the execution tiers re-route — pairwise and
 masked-range Hamming distance, class-major scoring, the carry-save
 majority ripple, bipolar count extraction, threshold extraction, and the
-bound-pair codebook XOR — on seeded operands shaped like the dataset
-(dimension, class count), on BOTH tiers (reference scalar and wide
-lane-parallel), reporting GiB/s of operand traffic per tier and the
-wide/reference speedup. The tiers are timed tier-explicitly, so the
-ratios are reported no matter which tier ROBUSTHD_KERNEL_TIER installed;
-only the end-to-end predict_qps row — a trained model scoring the
-dataset's encoded queries — runs through the installed tier (and honours
-ROBUSTHD_THREADS).
+fused bind+bundle ripple that record encoding runs per feature — on
+seeded operands shaped like the dataset (dimension, class count), on
+BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
+of operand traffic per tier and the wide/reference speedup. The tiers
+are timed tier-explicitly, so the ratios are reported no matter which
+tier ROBUSTHD_KERNEL_TIER installed; only the end-to-end predict_qps
+row — a trained model scoring the dataset's encoded queries — runs
+through the installed tier (and honours ROBUSTHD_THREADS).
 
 Before timing, every kernel is cross-checked bit-exact across tiers —
 integer counts exactly, similarity floats down to f64::to_bits — and a
@@ -1819,6 +1845,34 @@ mod tests {
         ]))
         .expect("evaluate succeeds");
         assert!(report.contains("accuracy"), "report: {report}");
+    }
+
+    #[test]
+    fn failed_write_keeps_the_earlier_file_and_leaves_no_temp_file() {
+        let dir = temp_dir().join("atomic-write");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let target = dir.join("model.rhd");
+        let path = target.to_str().expect("utf8");
+        let put = |bytes: &'static [u8], fail: bool| {
+            write_atomically(path, |file| {
+                file.write_all(bytes).map_err(|e| e.to_string())?;
+                if fail {
+                    Err("disk full".to_owned())
+                } else {
+                    Ok(())
+                }
+            })
+        };
+        put(b"earlier contents", false).expect("first write succeeds");
+        assert_eq!(put(b"half of the new", true), Err("disk full".to_owned()));
+        assert_eq!(std::fs::read(&target).expect("read"), b"earlier contents");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(entries, ["model.rhd"], "temporary file left behind");
+        put(b"new contents", false).expect("a complete write replaces the file");
+        assert_eq!(std::fs::read(&target).expect("read"), b"new contents");
     }
 
     #[test]

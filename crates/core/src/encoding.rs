@@ -16,12 +16,13 @@
 //! word-parallel (DESIGN.md §11), so [`RecordEncoder`] encodes through a
 //! fast path with a bit-identical scalar oracle beside it:
 //!
-//! * **fast** ([`Encoder::encode`]): a precomputed *bound-pair codebook*
-//!   `P[k][v] = B_k ⊕ L_v` turns each feature into one packed-word lookup
-//!   (no per-feature bind, no allocation), and bundling runs through the
-//!   bit-sliced carry-save majority kernel
-//!   ([`hypervector::CarrySaveMajority`]) — amortized `O(F)` word ops per
-//!   64-dimension word instead of the scalar loop's `O(64·F)`.
+//! * **fast** ([`Encoder::encode`]): each feature's bind happens inside
+//!   the bundle. The bit-sliced carry-save majority kernel
+//!   ([`hypervector::CarrySaveMajority::add_xor_words`]) adds
+//!   `B_k ⊕ L(f_k)` word by word without materializing the bound vector,
+//!   so nothing but the two codebooks is stored and no feature allocates.
+//!   That is amortized `O(F)` word ops per 64-dimension word instead of
+//!   the scalar loop's `O(64·F)`.
 //! * **reference** ([`RecordEncoder::encode_reference`]): the original
 //!   per-feature bind into a scalar [`BundleAccumulator`], kept as the
 //!   semantic definition the differential suite compares against.
@@ -29,6 +30,13 @@
 use crate::config::HdcConfig;
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, BundleAccumulator, CarrySaveMajority, PackedBits};
+
+/// Quantizes a value in `[0, 1]` into one of `steps` bins, clamping
+/// out-of-range values: the record encoder's level index and the stream
+/// classifiers' symbol.
+pub(crate) fn quantize(value: f64, steps: usize) -> usize {
+    ((value.clamp(0.0, 1.0) * steps as f64) as usize).min(steps - 1)
+}
 
 /// A mapping from raw features in `[0, 1]^n` to binary hypervectors.
 ///
@@ -63,7 +71,8 @@ pub trait Encoder {
     }
 }
 
-/// The paper's record-based encoder: `H = majority_k( B_k ⊕ L(q(f_k)) )`.
+/// The paper's record-based encoder: `H = majority_k( B_k ⊕ L(q(f_k)) )`,
+/// bound and bundled in one pass over the base and level codebooks.
 ///
 /// # Example
 ///
@@ -83,11 +92,6 @@ pub trait Encoder {
 pub struct RecordEncoder {
     bases: Vec<BinaryHypervector>,
     levels: Vec<BinaryHypervector>,
-    /// Bound-pair codebook `pairs[k * levels + v] = B_k ⊕ L_v`, built once
-    /// at construction. Costs `features × levels × D` bits of memory (e.g.
-    /// 16 features × 64 levels × 8192 dims = 1 MiB) to make every encode a
-    /// pure packed-word lookup with zero per-feature allocation.
-    pairs: Vec<BinaryHypervector>,
     dim: usize,
 }
 
@@ -127,21 +131,14 @@ impl RecordEncoder {
         Self::assemble(bases, levels, config.dimension)
     }
 
-    fn assemble(bases: Vec<BinaryHypervector>, levels: Vec<BinaryHypervector>, dim: usize) -> Self {
-        let mut pairs = Vec::with_capacity(bases.len() * levels.len());
-        let mut scratch = BinaryHypervector::zeros(dim);
-        for base in &bases {
-            for level in &levels {
-                base.bind_into(level, &mut scratch);
-                pairs.push(scratch.clone());
-            }
-        }
-        Self {
-            bases,
-            levels,
-            pairs,
-            dim,
-        }
+    /// An encoder over explicit codebooks: one base per input position and
+    /// one level per quantization step, all of dimension `dim`.
+    pub(crate) fn assemble(
+        bases: Vec<BinaryHypervector>,
+        levels: Vec<BinaryHypervector>,
+        dim: usize,
+    ) -> Self {
+        Self { bases, levels, dim }
     }
 
     /// The scalar reference encoding: per-feature bind into a
@@ -175,8 +172,7 @@ impl RecordEncoder {
 
     /// Quantizes a normalized feature into a level index.
     fn level_index(&self, value: f64) -> usize {
-        let clamped = value.clamp(0.0, 1.0);
-        ((clamped * self.levels.len() as f64) as usize).min(self.levels.len() - 1)
+        quantize(value, self.levels.len())
     }
 
     /// The level codebook (exposed for diagnostics and tests).
@@ -199,16 +195,15 @@ impl Encoder for RecordEncoder {
         self.bases.len()
     }
 
-    // audit:allow(panic): level_index is clamped to the level table; k spans the asserted feature count
+    // audit:allow(panic): level_index is clamped to the level table
     fn encode(&self, features: &[f64]) -> BinaryHypervector {
         self.check_features(features);
-        // One codebook lookup + carry-save word adds per feature. No binds,
-        // no per-feature allocation.
+        // One fused bind + carry-save add per feature: no bound vector, no
+        // per-feature allocation.
         let mut acc = CarrySaveMajority::new(self.dim);
-        let levels = self.levels.len();
-        for (k, &value) in features.iter().enumerate() {
-            let pair = &self.pairs[k * levels + self.level_index(value)];
-            acc.add_words(pair.bits().words());
+        for (base, &value) in self.bases.iter().zip(features) {
+            let level = &self.levels[self.level_index(value)];
+            acc.add_xor_words(base.bits().words(), level.bits().words());
         }
         acc.to_binary()
     }

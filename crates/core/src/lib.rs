@@ -26,9 +26,9 @@
 //! 5. **Parallel batched inference** — a sharded, scoped-thread batch
 //!    engine ([`batch`]) that serves query batches through fused popcount
 //!    kernels with results bit-identical to the sequential path.
-//! 6. **Bit-sliced encoding fast path** — a bound-pair codebook plus the
-//!    carry-save majority kernel ([`hypervector::CarrySaveMajority`]) make
-//!    encoding word-parallel, and the engine's fused raw-features entry
+//! 6. **Bit-sliced encoding fast path** — the carry-save majority kernel
+//!    ([`hypervector::CarrySaveMajority`]) binds each feature inside the
+//!    bundle, making encoding word-parallel, and the engine's fused raw-features entry
 //!    points (`predict_raw_batch`, `evaluate_raw_batch`,
 //!    [`supervisor::ResilienceSupervisor::serve_raw_batch`]) run
 //!    encode→score end to end without materializing intermediate

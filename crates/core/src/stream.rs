@@ -13,6 +13,7 @@
 
 use crate::batch::BatchEngine;
 use crate::config::{BatchConfig, HdcConfig};
+use crate::encoding::{quantize, Encoder, RecordEncoder};
 use crate::model::TrainedModel;
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, SequenceEncoder};
@@ -47,15 +48,8 @@ pub struct StreamClassifier {
 }
 
 impl StreamClassifier {
-    /// Quantizes a value in `[0, 1]` into one of `alphabet` symbols
-    /// (clamping out-of-range values).
-    fn symbol(value: f64, alphabet: usize) -> usize {
-        let clamped = value.clamp(0.0, 1.0);
-        ((clamped * alphabet as f64) as usize).min(alphabet - 1)
-    }
-
     fn quantize(stream: &[f64], alphabet: usize) -> Vec<usize> {
-        stream.iter().map(|&v| Self::symbol(v, alphabet)).collect()
+        stream.iter().map(|&v| quantize(v, alphabet)).collect()
     }
 
     /// Fits a classifier on labelled streams: values in `[0, 1]`,
@@ -179,10 +173,11 @@ const STREAM_SEED_MIX: u64 = 0x0f1e_2d3c_4b5a_6978;
 /// IMU traces: many synchronized sensor channels per recording).
 ///
 /// Each channel owns a base hypervector; a time step binds every channel's
-/// quantized symbol to its channel base and bundles them, and the per-step
-/// vectors feed the same n-gram sequence encoding as the scalar
-/// classifier. The deployed model remains a plain [`TrainedModel`] with the
-/// full attack/recovery surface.
+/// quantized symbol to its channel base and bundles them — a time step is
+/// a record, encoded by a [`RecordEncoder`] whose levels are the symbols —
+/// and the per-step vectors feed the same n-gram sequence encoding as the
+/// scalar classifier. The deployed model remains a plain [`TrainedModel`]
+/// with the full attack/recovery surface.
 ///
 /// # Example
 ///
@@ -214,10 +209,10 @@ const STREAM_SEED_MIX: u64 = 0x0f1e_2d3c_4b5a_6978;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultichannelStreamClassifier {
-    channel_bases: Vec<BinaryHypervector>,
-    symbols: Vec<BinaryHypervector>,
+    /// Per-step encoder: channel bases as record bases, the symbol
+    /// alphabet as its levels.
+    steps: RecordEncoder,
     model: TrainedModel,
-    alphabet: usize,
     ngram: usize,
     num_classes: usize,
     batch: BatchEngine,
@@ -256,11 +251,9 @@ impl MultichannelStreamClassifier {
         let symbols = sampler.base_set(alphabet, config.dimension);
 
         let mut this = Self {
-            channel_bases,
-            symbols,
+            steps: RecordEncoder::assemble(channel_bases, symbols, config.dimension),
             // Placeholder; replaced below once encodings exist.
             model: TrainedModel::from_classes(vec![BinaryHypervector::zeros(config.dimension)]),
-            alphabet,
             ngram,
             num_classes: 1,
             batch: BatchEngine::from_env(),
@@ -276,33 +269,9 @@ impl MultichannelStreamClassifier {
         this
     }
 
-    /// Encodes one time step: bundle over channels of
-    /// `channel_base ⊕ symbol(value)`, through the fused XOR+carry-save
-    /// kernel (no per-channel bind allocation; bit-identical to the scalar
-    /// accumulator — see `hypervector/tests/bitslice_props.rs`).
-    // audit:allow(panic): channel count asserted at entry; symbol() clamps to the alphabet
-    fn encode_step(&self, step: &[f64]) -> BinaryHypervector {
-        assert_eq!(
-            step.len(),
-            self.channel_bases.len(),
-            "expected {} channels, got {}",
-            self.channel_bases.len(),
-            step.len()
-        );
-        let dim = self.channel_bases[0].dim();
-        let mut acc = hypervector::CarrySaveMajority::new(dim);
-        for (channel, &value) in step.iter().enumerate() {
-            let symbol = StreamClassifier::symbol(value, self.alphabet);
-            acc.add_xor_words(
-                self.channel_bases[channel].bits().words(),
-                self.symbols[symbol].bits().words(),
-            );
-        }
-        acc.to_binary()
-    }
-
-    /// Encodes a multichannel stream: per-step channel bundles, combined
-    /// across time by rotation-bound n-grams.
+    /// Encodes a multichannel stream: per-step channel bundles
+    /// (`majority_c(channel_base_c ⊕ symbol(value_c))`), combined across
+    /// time by rotation-bound n-grams.
     ///
     /// # Panics
     ///
@@ -315,18 +284,10 @@ impl MultichannelStreamClassifier {
             stream.len(),
             self.ngram
         );
-        let steps: Vec<BinaryHypervector> =
-            stream.iter().map(|step| self.encode_step(step)).collect();
-        let dim = steps[0].dim(); // audit:allow(panic): stream asserted >= ngram, so steps is non-empty
-        let mut acc = hypervector::BundleAccumulator::new(dim);
-        for window in steps.windows(self.ngram) {
-            let mut gram = BinaryHypervector::zeros(dim);
-            for (offset, step) in window.iter().enumerate() {
-                gram.bind_assign(&step.permute(self.ngram - 1 - offset));
-            }
-            acc.add(&gram);
-        }
-        acc.to_binary()
+        // The step vectors are the n-gram codebook, read in time order.
+        let codebook = stream.iter().map(|step| self.steps.encode(step)).collect();
+        let order: Vec<usize> = (0..stream.len()).collect();
+        SequenceEncoder::new(codebook, self.ngram).encode(&order)
     }
 
     /// Predicts the class of a stream.
@@ -389,7 +350,7 @@ impl MultichannelStreamClassifier {
 
     /// Number of channels expected per time step.
     pub fn channels(&self) -> usize {
-        self.channel_bases.len()
+        self.steps.features()
     }
 
     /// Number of classes seen at fit time.
@@ -480,10 +441,10 @@ mod tests {
 
     #[test]
     fn quantizer_covers_alphabet() {
-        assert_eq!(StreamClassifier::symbol(0.0, 8), 0);
-        assert_eq!(StreamClassifier::symbol(1.0, 8), 7);
-        assert_eq!(StreamClassifier::symbol(-0.5, 8), 0);
-        assert_eq!(StreamClassifier::symbol(2.0, 8), 7);
+        assert_eq!(quantize(0.0, 8), 0);
+        assert_eq!(quantize(1.0, 8), 7);
+        assert_eq!(quantize(-0.5, 8), 0);
+        assert_eq!(quantize(2.0, 8), 7);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Differential suite pinning the Wide execution tier bit-identical to the
 //! Reference tier across every kernel family it re-routes — XOR+popcount
 //! distances (pairwise, masked ranges, class-major scoring), the carry-save
-//! majority ripple kernels, bipolar count extraction, threshold extraction,
-//! and the bound-pair codebook XOR — plus the [`KernelConfig`] flag surface
-//! (`ROBUSTHD_KERNEL_TIER`) that selects between them.
+//! majority ripple kernels (including the fused bind+bundle every record
+//! encoding runs), bipolar count extraction and threshold extraction —
+//! plus the [`KernelConfig`] flag surface (`ROBUSTHD_KERNEL_TIER`) that
+//! selects between them.
 //!
 //! Dimensions deliberately straddle both the 64-bit word boundary
 //! (63/64/65) and the 8-word wide-block boundary (511/512/513), because
@@ -161,32 +162,6 @@ fn similarities_are_float_bit_exact_against_reference_tier() {
             let expected = 1.0 - d as f64 / dim as f64;
             assert_eq!(sims[c].to_bits(), expected.to_bits(), "dim={dim} class={c}");
         }
-    }
-}
-
-#[test]
-fn tiers_agree_on_codebook_xor() {
-    let mut sampler = HypervectorSampler::seed_from(806);
-    for &dim in DIMS {
-        let a = sampler.binary(dim);
-        let b = sampler.binary(dim);
-        let words = words_for(dim);
-        let mut reference = vec![0u64; words];
-        let mut wide = vec![0u64; words];
-        tier::xor_words_into(
-            KernelTier::Reference,
-            &mut reference,
-            a.bits().words(),
-            b.bits().words(),
-        );
-        tier::xor_words_into(
-            KernelTier::Wide,
-            &mut wide,
-            a.bits().words(),
-            b.bits().words(),
-        );
-        assert_eq!(wide, reference, "dim={dim}");
-        assert_eq!(a.bind(&b).bits().words(), &reference[..], "dim={dim}");
     }
 }
 

@@ -136,8 +136,8 @@ impl BinaryHypervector {
     }
 
     /// Binding into a caller-provided scratch vector: `out = self ⊕ other`
-    /// with no allocation. Encoder hot loops reuse one scratch vector per
-    /// batch instead of allocating a fresh bind per feature.
+    /// with no allocation. The scalar reference encoder reuses one scratch
+    /// vector per encoding instead of allocating a fresh bind per feature.
     ///
     /// # Panics
     ///

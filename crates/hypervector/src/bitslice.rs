@@ -117,28 +117,14 @@ impl CarrySaveMajority {
     /// Panics if the dimensions differ.
     pub fn add(&mut self, hv: &BinaryHypervector) {
         assert_eq!(self.dim, hv.dim(), "dimension mismatch in add");
-        self.add_words(hv.bits().words());
-    }
-
-    /// Bundles a packed word image directly (the codebook fast path feeds
-    /// precomputed bound pairs through this without constructing a
-    /// hypervector).
-    ///
-    /// Bits beyond `dim()` in the last word must be zero, as
-    /// [`PackedBits`] guarantees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` does not hold exactly `dim().div_ceil(64)` words.
-    pub fn add_words(&mut self, src: &[u64]) {
-        assert_eq!(src.len(), self.words, "word count mismatch in add_words");
         self.grow_for_add();
-        crate::tier::ripple_add(crate::tier::active(), &mut self.planes, src);
+        crate::tier::ripple_add(crate::tier::active(), &mut self.planes, hv.bits().words());
     }
 
     /// Bundles the XOR (bind) of two packed word images without
     /// materializing the bound vector — the scratch-free fused bind+bundle
-    /// used by encoders that cannot precompute a pair codebook.
+    /// every record encoding runs once per feature
+    /// (`robusthd::RecordEncoder::encode`).
     ///
     /// # Panics
     ///
@@ -306,19 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn add_words_equals_add() {
-        let mut s = HypervectorSampler::seed_from(3);
-        let inputs: Vec<_> = (0..7).map(|_| s.binary(300)).collect();
-        let mut by_hv = CarrySaveMajority::new(300);
-        let mut by_words = CarrySaveMajority::new(300);
-        for hv in &inputs {
-            by_hv.add(hv);
-            by_words.add_words(hv.bits().words());
-        }
-        assert_eq!(by_hv.to_binary(), by_words.to_binary());
-    }
-
-    #[test]
     fn add_xor_words_fuses_bind() {
         let mut s = HypervectorSampler::seed_from(4);
         let pairs: Vec<_> = (0..9).map(|_| (s.binary(200), s.binary(200))).collect();
@@ -358,7 +331,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "word count mismatch")]
-    fn add_words_rejects_short_slice() {
-        CarrySaveMajority::new(130).add_words(&[0u64; 2]);
+    fn add_xor_words_rejects_short_slice() {
+        CarrySaveMajority::new(130).add_xor_words(&[0u64; 3], &[0u64; 2]);
     }
 }

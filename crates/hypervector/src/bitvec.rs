@@ -151,9 +151,7 @@ impl PackedBits {
     }
 
     /// Overwrites `self` with `a ^ b` without allocating — the scratch-reuse
-    /// primitive under [`crate::BinaryHypervector::bind_into`], routed
-    /// through the active execution tier's codebook-XOR kernel
-    /// ([`crate::tier::xor_words_into`]).
+    /// primitive under [`crate::BinaryHypervector::bind_into`].
     ///
     /// # Panics
     ///
@@ -161,7 +159,9 @@ impl PackedBits {
     pub fn xor_from(&mut self, a: &Self, b: &Self) {
         assert_eq!(self.len, a.len, "length mismatch in xor_from");
         assert_eq!(self.len, b.len, "length mismatch in xor_from");
-        crate::tier::xor_words_into(crate::tier::active(), &mut self.words, &a.words, &b.words);
+        for ((o, x), y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+            *o = x ^ y;
+        }
     }
 
     /// Number of positions where `self` and `other` differ, computed by the

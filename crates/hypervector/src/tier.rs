@@ -1,11 +1,11 @@
 //! Execution-tier kernels: runtime-dispatched scalar and wide-lane paths
-//! for the three hot kernel families.
+//! for the two hot kernel families.
 //!
 //! The paper's DPIM argument is that HDC wins when the hardware executes
 //! wide bitwise operations in parallel; this module is the software half
-//! of that claim. Every hot kernel — XOR+popcount distance, the
-//! carry-save majority ripple, and the bound-pair codebook XOR — exists
-//! in two *bit-identical* execution tiers:
+//! of that claim. Every hot kernel — XOR+popcount distance (family 1) and
+//! the carry-save majority ripple that encoding binds and bundles through
+//! (family 2) — exists in two *bit-identical* execution tiers:
 //!
 //! * [`KernelTier::Reference`] — the scalar one-`u64`-at-a-time loops the
 //!   rest of the crate documents. These are the semantic definition.
@@ -335,40 +335,6 @@ pub fn hamming_all_into_words(
     }
 }
 
-/// `out = a ^ b` word by word (kernel family 3: the bound-pair codebook
-/// XOR under `PackedBits::xor_from` / `BinaryHypervector::bind_into`).
-///
-/// # Panics
-///
-/// Panics if the three slice lengths differ.
-// audit:allow(panic): equal word counts asserted at entry
-pub fn xor_words_into(tier: KernelTier, out: &mut [u64], a: &[u64], b: &[u64]) {
-    assert_eq!(out.len(), a.len(), "word count mismatch in xor_words_into");
-    assert_eq!(out.len(), b.len(), "word count mismatch in xor_words_into");
-    match tier {
-        KernelTier::Reference => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x ^ y;
-            }
-        }
-        KernelTier::Wide => {
-            let full = out.len() - out.len() % BLOCK_WORDS;
-            for ((co, ca), cb) in out[..full]
-                .chunks_exact_mut(BLOCK_WORDS)
-                .zip(a[..full].chunks_exact(BLOCK_WORDS))
-                .zip(b[..full].chunks_exact(BLOCK_WORDS))
-            {
-                for ((o, &x), &y) in co.iter_mut().zip(ca).zip(cb) {
-                    *o = x ^ y;
-                }
-            }
-            for ((o, &x), &y) in out[full..].iter_mut().zip(&a[full..]).zip(&b[full..]) {
-                *o = x ^ y;
-            }
-        }
-    }
-}
-
 /// Scalar ripple-carry increment of the bit-sliced planes at word `w` by
 /// the carry word `carry`.
 #[inline]
@@ -440,8 +406,10 @@ pub fn ripple_add(tier: KernelTier, planes: &mut [Vec<u64>], src: &[u64]) {
     }
 }
 
-/// [`ripple_add`] of `a ^ b` without materializing the bound vector —
-/// the fused bind+bundle under `CarrySaveMajority::add_xor_words`.
+/// [`ripple_add`] of `a ^ b` without materializing the bound vector
+/// (kernel family 2: the fused bind+bundle under
+/// `CarrySaveMajority::add_xor_words`, which every record encoding runs
+/// once per feature).
 ///
 /// # Panics
 ///

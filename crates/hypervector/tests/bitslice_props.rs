@@ -356,12 +356,13 @@ fn interleaved_word_and_vector_adds_match() {
     let inputs: Vec<_> = (0..21).map(|_| sampler.binary(130)).collect();
     let mut reference = BundleAccumulator::new(130);
     let mut fast = CarrySaveMajority::new(130);
+    let unbound = BinaryHypervector::zeros(130);
     for (i, hv) in inputs.iter().enumerate() {
         reference.add(hv);
         if i % 2 == 0 {
             fast.add(hv);
         } else {
-            fast.add_words(hv.bits().words());
+            fast.add_xor_words(hv.bits().words(), unbound.bits().words());
         }
     }
     assert_eq!(fast.to_binary(), reference.to_binary());

@@ -58,7 +58,6 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/hypervector/src/tier.rs", "hamming_words"),
     ("crates/hypervector/src/tier.rs", "hamming_range_words"),
     ("crates/hypervector/src/tier.rs", "hamming_all_into_words"),
-    ("crates/hypervector/src/tier.rs", "xor_words_into"),
     ("crates/hypervector/src/tier.rs", "ripple_add"),
     ("crates/hypervector/src/tier.rs", "ripple_add_xor"),
     ("crates/hypervector/src/tier.rs", "bipolar_accumulate"),
