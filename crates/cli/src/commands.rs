@@ -1165,11 +1165,15 @@ majority ripple, bipolar count extraction, threshold extraction, and the
 fused bind+bundle ripple that record encoding runs per feature — on
 seeded operands shaped like the dataset (dimension, class count), on
 BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
-of operand traffic per tier and the wide/reference speedup. The tiers
-are timed tier-explicitly, so the ratios are reported no matter which
-tier ROBUSTHD_KERNEL_TIER installed; only the end-to-end predict_qps
-row — a trained model scoring the dataset's encoded queries — runs
-through the installed tier (and honours ROBUSTHD_THREADS).
+of operand traffic per tier and the wide/reference speedup. Each round
+times one pass of each tier back to back, alternating which goes first,
+and each tier reports its best round: both bests come from the same
+span of time, so host load cannot favour one tier by landing while
+only the other is timed. The tiers are timed tier-explicitly, so the ratios
+are reported no matter which tier ROBUSTHD_KERNEL_TIER installed; only
+the end-to-end predict_qps row — a trained model scoring the dataset's
+encoded queries — runs through the installed tier (and honours
+ROBUSTHD_THREADS).
 
 Before timing, every kernel is cross-checked bit-exact across tiers —
 integer counts exactly, similarity floats down to f64::to_bits — and a
@@ -1179,7 +1183,8 @@ OPTIONS:
     --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
     --dim <N>          HDC dimensionality (default 8192)
     --queries <N>      end-to-end query batch size (default 400)
-    --repeats <N>      timed repetitions per kernel per tier; best time wins (default 3)
+    --repeats <N>      timed rounds per kernel, each timing both tiers once; the best
+                       round wins, as it does for predict_qps (default 3)
     --seed <N>         pipeline seed (default 0)";
 
 /// Operand traffic per timed kernel pass, so each repeat takes

@@ -33,6 +33,7 @@ use crate::config::BatchConfig;
 use crate::encoding::Encoder;
 use crate::model::{argmin_first, TrainedModel};
 use hypervector::similarity::{chunked_hamming, chunked_hamming_into};
+use hypervector::tier::hamming_words;
 use hypervector::BinaryHypervector;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -151,7 +152,9 @@ fn similarities_from_distances(distances: &[usize], dim: usize) -> Vec<f64> {
 /// distances. The similarity is non-increasing in the distance, so the two
 /// highest similarities are those of the two lowest distances: the argmin
 /// and the lowest distance among the other classes.
-fn predicted_margin(distances: &[usize], dim: usize) -> (usize, f64) {
+///
+/// This is what the supervisor's canary probe reads of each canary.
+pub fn predicted_margin(distances: &[usize], dim: usize) -> (usize, f64) {
     let predicted = argmin_first(distances);
     let runner_up = distances
         .iter()
@@ -225,11 +228,11 @@ impl BatchEngine {
     /// order.
     ///
     /// `f` maps one shard (a slice of consecutive inputs) to its results
-    /// and may keep per-shard scratch. Workers claim shard indices from an
-    /// atomic counter; each shard's results are placed by shard index, so
-    /// scheduling cannot reorder or alter anything. With one thread (or one
-    /// shard's worth of work) everything runs inline on the caller's
-    /// thread.
+    /// (the same number per input) and may keep per-shard scratch. Workers
+    /// claim shard indices from an atomic counter; each shard's results are
+    /// placed by shard index, so scheduling cannot reorder or alter
+    /// anything. With one thread (or one shard's worth of work) everything
+    /// runs inline on the caller's thread.
     fn map_shards<Q, R, F>(&self, inputs: &[Q], f: F) -> Vec<R>
     where
         Q: Sync,
@@ -399,29 +402,28 @@ impl BatchEngine {
         })
     }
 
-    /// Predicted label and raw similarity margin for every query: the
-    /// `(predicted, confidence.margin)` of [`BatchEngine::evaluate_batch`],
-    /// bit for bit, without the softmax, the probability vector or the
-    /// sort. This is the supervisor's canary probe, which reads nothing
-    /// else.
+    /// Hamming distance of every query to each packed class row in `rows`,
+    /// query-major: query 0's distances in `rows` order, then query 1's,
+    /// and so on. Each distance is the active tier's
+    /// [`hamming_words`](hypervector::tier::hamming_words) over the row and
+    /// the query words, exactly the integer the full scoring pass computes.
+    /// Queries are sharded across the worker threads with by-index
+    /// placement, so the result is the same at every tuning.
+    ///
+    /// This is the supervisor's canary re-score: `rows` are the classes
+    /// whose words changed since its last probe.
     ///
     /// # Panics
     ///
-    /// Panics if any query dimension differs from the model's.
-    pub fn predict_margins_batch(
-        &self,
-        model: &TrainedModel,
-        queries: &[BinaryHypervector],
-    ) -> Vec<(usize, f64)> {
-        let packed = model.packed();
-        let dim = model.dim();
+    /// Panics if a row and a query differ in word count.
+    pub fn row_distances(&self, rows: &[&[u64]], queries: &[BinaryHypervector]) -> Vec<usize> {
+        let tier = hypervector::tier::active();
         self.map_shards(queries, |shard| {
-            let mut distances = Vec::new();
             shard
                 .iter()
-                .map(|query| {
-                    packed.hamming_all_into(query, &mut distances);
-                    predicted_margin(&distances, dim)
+                .flat_map(|query| {
+                    rows.iter()
+                        .map(|row| hamming_words(tier, row, query.bits().words()))
                 })
                 .collect()
         })

@@ -11,7 +11,11 @@
 //!    probe* ([`HealthMonitor::judge_margins`] plus golden-answer
 //!    agreement) over the retained calibration traffic: live statistics
 //!    can be whitewashed by a repair loop overfitting the very queries it
-//!    feeds on, but a disjoint canary set cannot.
+//!    feeds on, but a disjoint canary set cannot. The probe is
+//!    incremental ([`ResilienceSupervisor::canary_probe`]): it keeps a
+//!    shadow of the class words and every canary's distance to every
+//!    class, re-scores only the classes whose words changed since the last
+//!    probe, and reuses the last verdict when none did.
 //! 2. **Escalate.** On a [`HealthVerdict::Degraded`] batch the
 //!    [`RecoveryEngine`] runs at the current rung of an escalation ladder
 //!    ([`EscalationLevel`]). Each failed round climbs one rung: higher
@@ -35,7 +39,7 @@
 //! process (e.g. a `faultsim` attack campaign) and emits a JSON trace of
 //! every verdict, escalation, checkpoint, and rollback.
 
-use crate::batch::BatchEngine;
+use crate::batch::{predicted_margin, BatchEngine};
 use crate::config::{BatchConfig, EscalationLevel, HdcConfig, RecoveryConfig, SupervisorConfig};
 use crate::diagnostics::{HealthMonitor, HealthVerdict};
 use crate::encoding::Encoder;
@@ -117,6 +121,7 @@ pub struct ResilienceSupervisor {
     monitor: HealthMonitor,
     canaries: Vec<BinaryHypervector>,
     canary_answers: Vec<usize>,
+    probe: ProbeCache,
     engine: RecoveryEngine,
     batch: BatchEngine,
     ladder: Vec<EscalationLevel>,
@@ -170,6 +175,7 @@ impl ResilienceSupervisor {
             monitor,
             canaries: Vec::new(),
             canary_answers: Vec::new(),
+            probe: ProbeCache::default(),
             engine,
             batch: BatchEngine::from_env(),
             ladder,
@@ -189,12 +195,17 @@ impl ResilienceSupervisor {
     /// traffic as the canary set, and takes the initial checkpoint. Must be
     /// called once before serving.
     ///
-    /// The canaries are re-scored against the model every batch (see
-    /// [`HealthMonitor::judge_margins`]), so the cost of a batch grows with
-    /// the calibration set's size. For the probe to add protection beyond the
-    /// live window, calibrate on traffic that will *not* be served again:
-    /// a repair loop can overfit the queries it feeds on, but not a
-    /// disjoint canary set.
+    /// Every healthy window is cross-checked by probing the canaries against
+    /// the model ([`ResilienceSupervisor::canary_probe`]). The probe
+    /// re-scores only the classes whose words changed since its last run,
+    /// so an unchanged model costs one compare of the class words, and a
+    /// changed class costs one distance per canary. The probe keeps
+    /// `classes × D / 8` bytes of class-word shadow plus `canaries ×
+    /// classes` distances (8 bytes each) per supervisor. Calibrating again
+    /// drops that cache. For the probe to add protection beyond the live
+    /// window, calibrate on traffic that will *not* be served again: a
+    /// repair loop can overfit the queries it feeds on, but not a disjoint
+    /// canary set.
     ///
     /// # Panics
     ///
@@ -210,6 +221,7 @@ impl ResilienceSupervisor {
         // self-supervised reference that catches a model whose margins look
         // fine but whose classes were rewritten into a label permutation.
         self.canary_answers = scores.iter().map(|s| s.predicted).collect();
+        self.probe = ProbeCache::default();
         self.quarantined = vec![false; model.num_classes()];
         self.checkpoint = Some(self.encode_checkpoint(model));
     }
@@ -270,6 +282,14 @@ impl ResilienceSupervisor {
     /// Cumulative statistics of the embedded recovery engine.
     pub fn recovery_stats(&self) -> &RecoveryStats {
         self.engine.stats()
+    }
+
+    /// Classes the canary probe has re-scored since calibration. A probe
+    /// re-scores every class the first time, then only the classes whose
+    /// words differ from those it last scored; a probe of an unchanged
+    /// model adds nothing.
+    pub fn probe_rescored_classes(&self) -> usize {
+        self.probe.rescored
     }
 
     /// The last healthy checkpoint, as checksummed `RHD2` bytes.
@@ -561,29 +581,149 @@ impl ResilienceSupervisor {
     }
 
     /// The live window verdict hardened by the canary probe: a window that
-    /// looks healthy is only trusted when re-scoring the retained
-    /// known-good canaries agrees — both their margin statistics
-    /// ([`HealthMonitor::judge_margins`]) and their golden-answer
-    /// agreement. The latter is the only check that catches a model whose
-    /// classes were confidently rewritten into a label permutation:
-    /// margins recover, answers do not. Returns the combined verdict and
-    /// whether a canary check raised the alarm on an otherwise-clean
-    /// window.
-    fn judged_verdict(&self, model: &TrainedModel) -> (HealthVerdict, bool) {
+    /// looks healthy is only trusted when the canary probe agrees. Returns
+    /// the combined verdict and whether a canary check raised the alarm on
+    /// an otherwise-clean window.
+    fn judged_verdict(&mut self, model: &TrainedModel) -> (HealthVerdict, bool) {
         let live = self.monitor.verdict();
         if live != HealthVerdict::Healthy {
             return (live, false);
         }
-        // One batched pass over the canaries yields both probe inputs: the
-        // margins for the statistical check and the predictions for the
-        // golden-answer check. The canaries are re-scored every time,
-        // because bit flips reach the model without passing through here.
-        let probes = self.batch.predict_margins_batch(model, &self.canaries);
-        let margins: Vec<f64> = probes.iter().map(|&(_, margin)| margin).collect();
+        self.canary_probe(model)
+    }
+
+    /// Probes the retained known-good canaries against `model`: both their
+    /// margin statistics ([`HealthMonitor::judge_margins`]) and their
+    /// golden-answer agreement must hold. The latter is the only check
+    /// that catches a model whose classes were confidently rewritten into a
+    /// label permutation: margins recover, answers do not. Returns
+    /// `(Degraded, true)` when a canary check fails and `(Healthy, false)`
+    /// otherwise.
+    ///
+    /// The probe is incremental. It compares the model's class words with
+    /// a shadow of the words it last scored and re-scores, against every
+    /// canary, only the classes that differ (sharded across the batch
+    /// engine's workers). When no class differs, it returns the last
+    /// verdict. Distances are exact integers and the verdict is derived
+    /// exactly as [`ResilienceSupervisor::canary_probe_reference`] derives
+    /// it, so the answer is bit-identical to re-scoring everything. The
+    /// compare sees every change however it reached the model: an
+    /// external bit flip, a repair, a rollback or a different model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ResilienceSupervisor::calibrate`] was never called or a
+    /// canary's dimension differs from the model's.
+    // Out of line on purpose: both verdicts of a batch call it, and two
+    // inlined copies of the re-score in the serving loop slowed the repair
+    // batches by up to a quarter (perfbench `recovery_soak` p90).
+    #[inline(never)]
+    pub fn canary_probe(&mut self, model: &TrainedModel) -> (HealthVerdict, bool) {
+        let packed = model.packed();
+        let classes = packed.num_classes();
+        let cache = &mut self.probe;
+        let fresh =
+            cache.verdict.is_none() || (cache.dim, cache.classes) != (packed.dim(), classes);
+        if fresh {
+            assert!(
+                self.canaries.iter().all(|q| q.dim() == packed.dim()),
+                "dimension mismatch in canary probe"
+            );
+            cache.dim = packed.dim();
+            cache.classes = classes;
+            cache.shadow.clear();
+            cache.shadow.resize(packed.words().len(), 0);
+            cache.distances.clear();
+            cache.distances.resize(self.canaries.len() * classes, 0);
+            cache.verdict = None;
+        }
+        // Zero-width classes pack no words; their distances stay 0.
+        let width = packed.words_per_class().max(1);
+        let mut changed = Vec::new();
+        let mut rows = Vec::new();
+        for (class, (now, seen)) in packed
+            .words()
+            .chunks_exact(width)
+            .zip(cache.shadow.chunks_exact_mut(width))
+            .enumerate()
+        {
+            if fresh || now != seen {
+                seen.copy_from_slice(now);
+                changed.push(class);
+                rows.push(now);
+            }
+        }
+        if let (true, Some(verdict)) = (changed.is_empty(), cache.verdict) {
+            return verdict;
+        }
+        if !rows.is_empty() {
+            let fresh_distances = self.batch.row_distances(&rows, &self.canaries);
+            for (all, new) in cache
+                .distances
+                .chunks_exact_mut(classes)
+                .zip(fresh_distances.chunks_exact(rows.len()))
+            {
+                for (&class, &d) in changed.iter().zip(new) {
+                    if let Some(slot) = all.get_mut(class) {
+                        *slot = d;
+                    }
+                }
+            }
+            cache.rescored += changed.len();
+        }
+        let scores = self.canary_scores();
+        let verdict = self.judge_canaries(&scores);
+        self.probe.verdict = Some(verdict);
+        verdict
+    }
+
+    /// The canary probe with no cache: every canary re-scored against
+    /// every class. This is the oracle
+    /// [`ResilienceSupervisor::canary_probe`] is pinned to. Returns each
+    /// canary's `(predicted, margin)` and the probe's verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ResilienceSupervisor::calibrate`] was never called or a
+    /// canary's dimension differs from the model's.
+    pub fn canary_probe_reference(
+        &self,
+        model: &TrainedModel,
+    ) -> (Vec<(usize, f64)>, (HealthVerdict, bool)) {
+        let packed = model.packed();
+        let mut distances = Vec::new();
+        let scores: Vec<(usize, f64)> = self
+            .canaries
+            .iter()
+            .map(|canary| {
+                packed.hamming_all_into(canary, &mut distances);
+                predicted_margin(&distances, packed.dim())
+            })
+            .collect();
+        let verdict = self.judge_canaries(&scores);
+        (scores, verdict)
+    }
+
+    /// Each canary's `(predicted, margin)` as of the last
+    /// [`ResilienceSupervisor::canary_probe`], derived from its cached
+    /// distances (empty before the first probe).
+    pub fn canary_scores(&self) -> Vec<(usize, f64)> {
+        self.probe
+            .distances
+            .chunks_exact(self.probe.classes.max(1))
+            .map(|distances| predicted_margin(distances, self.probe.dim))
+            .collect()
+    }
+
+    /// The canary verdict on each canary's `(predicted, margin)`: the
+    /// margins must pass [`HealthMonitor::judge_margins`] and the answers
+    /// must agree with the golden answers often enough.
+    fn judge_canaries(&self, scores: &[(usize, f64)]) -> (HealthVerdict, bool) {
+        let margins: Vec<f64> = scores.iter().map(|&(_, margin)| margin).collect();
         if self.monitor.judge_margins(margins) == HealthVerdict::Degraded {
             return (HealthVerdict::Degraded, true);
         }
-        let agreeing = probes
+        let agreeing = scores
             .iter()
             .zip(&self.canary_answers)
             .filter(|(&(predicted, _), &golden)| predicted == golden)
@@ -627,6 +767,25 @@ impl ResilienceSupervisor {
             .expect("writing to a Vec cannot fail"); // audit:allow(panic): io::Write for Vec is infallible
         bytes
     }
+}
+
+/// What the last canary probe saw, so the next one re-scores only the
+/// classes whose words changed since. Emptied by calibration.
+#[derive(Debug, Default)]
+struct ProbeCache {
+    /// Dimension of the model the distances were measured against.
+    dim: usize,
+    /// Class count of that model.
+    classes: usize,
+    /// Its class-major packed words.
+    shadow: Vec<u64>,
+    /// Each canary's exact Hamming distance to each class, canary-major.
+    distances: Vec<usize>,
+    /// The last probe's `(verdict, canary_alarm)`; `None` until the first
+    /// probe after calibration.
+    verdict: Option<(HealthVerdict, bool)>,
+    /// Classes re-scored since calibration.
+    rescored: usize,
 }
 
 /// Applies an escalation rung on top of the engine's current configuration
@@ -1046,6 +1205,39 @@ mod tests {
         let (m2, j2) = run();
         assert_eq!(m1, m2);
         assert_eq!(j1, j2);
+    }
+
+    #[test]
+    fn canary_probe_rescores_only_changed_classes() {
+        let mut sampler = HypervectorSampler::seed_from(8);
+        let protos: Vec<_> = (0..5).map(|_| sampler.binary(DIM)).collect();
+        let canaries: Vec<_> = (0..40)
+            .map(|i| sampler.flip_noise(&protos[i % 5], 0.15))
+            .collect();
+        let cfg = HdcConfig::builder().dimension(DIM).build().expect("valid");
+        let mut model = TrainedModel::from_classes(protos);
+        let mut sup = supervisor(SupervisorConfig::default(), &cfg);
+        sup.calibrate(&model, &canaries);
+        let probe = |sup: &mut ResilienceSupervisor, model: &TrainedModel| {
+            let before = sup.probe_rescored_classes();
+            let verdict = sup.canary_probe(model);
+            assert_eq!(verdict, sup.canary_probe_reference(model).1);
+            sup.probe_rescored_classes() - before
+        };
+        assert_eq!(probe(&mut sup, &model), 5, "first probe scores every class");
+        assert_eq!(probe(&mut sup, &model), 0, "unchanged model");
+        model.class_mut(3).flip(17);
+        assert_eq!(probe(&mut sup, &model), 1, "one bit flipped in class 3");
+        model.class_mut(3).flip(99);
+        model.class_mut(3).flip(99);
+        assert_eq!(probe(&mut sup, &model), 0, "flip undone before the probe");
+        sup.calibrate(&model, &canaries);
+        assert_eq!(
+            sup.probe_rescored_classes(),
+            0,
+            "calibration drops the cache"
+        );
+        assert_eq!(probe(&mut sup, &model), 5);
     }
 
     #[test]

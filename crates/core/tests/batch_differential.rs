@@ -6,6 +6,7 @@
 use faultsim::Attacker;
 use hypervector::random::HypervectorSampler;
 use hypervector::BinaryHypervector;
+use robusthd::batch::predicted_margin;
 use robusthd::supervisor::ResilienceSupervisor;
 use robusthd::{
     BatchConfig, BatchEngine, Confidence, HdcConfig, RecoveryConfig, RecoveryEngine,
@@ -242,19 +243,29 @@ fn fault_scans_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// The canary probe's `(predicted, margin)` must equal
-/// `(predicted, confidence.margin)` of the full scoring pass to the bit.
+/// The canary probe's `(predicted, margin)` — `predicted_margin` over the
+/// class distances, the distances from the sharded `row_distances` — must
+/// equal `(predicted, confidence.margin)` of the full scoring pass to the
+/// bit.
 fn assert_probe_matches_scores(model: &TrainedModel, queries: &[BinaryHypervector], context: &str) {
     let want: Vec<(usize, u64)> = engine(1, 1)
         .evaluate_batch(model, queries, BETA)
         .iter()
         .map(|s| (s.predicted, s.confidence.margin.to_bits()))
         .collect();
+    let packed = model.packed();
+    let width = packed.words_per_class();
+    let rows: Vec<&[u64]> = (0..packed.num_classes())
+        .map(|c| &packed.words()[c * width..(c + 1) * width])
+        .collect();
     for &threads in &[1usize, 2, 8] {
-        let got: Vec<(usize, u64)> = engine(threads, 3)
-            .predict_margins_batch(model, queries)
-            .iter()
-            .map(|&(predicted, margin)| (predicted, margin.to_bits()))
+        let distances = engine(threads, 3).row_distances(&rows, queries);
+        let got: Vec<(usize, u64)> = distances
+            .chunks_exact(rows.len())
+            .map(|d| {
+                let (predicted, margin) = predicted_margin(d, model.dim());
+                (predicted, margin.to_bits())
+            })
             .collect();
         assert_eq!(got, want, "{context}, {threads} threads");
     }
