@@ -24,12 +24,31 @@
 //! bit-exact engine, never a faster approximation. The reference encoder
 //! is also timed once, single-threaded, so one run reports what the fast
 //! path buys.
+//!
+//! One more layer sits beside the sweep: the **repair** rate of the
+//! recovery engine, in trusted-query observations per second of
+//! [`RecoveryEngine::observe`] (`repair_qps`) and of its per-bit oracle
+//! [`RecoveryEngine::observe_reference`] (`reference_repair_qps`), on the
+//! run's model with [`REPAIR_ATTACK_RATE`] of its bits flipped, at the
+//! operating point of perfbench's `recovery_soak` (`m` = 20, `S` = 0.5,
+//! majority saturation 3, `T_C` = 0.45). Twin engines first run the same
+//! stream through both and must agree to the bit.
 
+use crate::attack::attack_hdc;
 use crate::timing::best_seconds;
 use crate::workload::EncodedWorkload;
-use robusthd::{BatchConfig, BatchEngine};
+use hypervector::BinaryHypervector;
+use robusthd::recovery::Observation;
+use robusthd::{
+    BatchConfig, BatchEngine, RecoveryConfig, RecoveryEngine, SubstitutionMode, TrainedModel,
+};
 use std::fmt::Write as _;
+use std::time::Instant;
 use synthdata::DatasetSpec;
+
+/// Share of the model's stored bits flipped before the repair rates are
+/// timed: the peak diffuse corruption of perfbench's `recovery_soak`.
+pub const REPAIR_ATTACK_RATE: f64 = 0.08;
 
 /// One timed point of the thread sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +85,11 @@ pub struct ThroughputOutcome {
     /// Raw rows encoded per second by the scalar reference encoder, one
     /// thread (best repeat).
     pub reference_encode_qps: f64,
+    /// Trusted-query observations per second of
+    /// [`RecoveryEngine::observe`] on the attacked model (best repeat).
+    pub repair_qps: f64,
+    /// The same rate for [`RecoveryEngine::observe_reference`].
+    pub reference_repair_qps: f64,
     /// One row per thread count, in sweep order.
     pub rows: Vec<ThroughputRow>,
 }
@@ -79,14 +103,17 @@ impl ThroughputOutcome {
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"queries\": {}, \"shard_size\": {}, \
              \"repeats\": {}, \"seed\": {}, \"bit_exact\": true, \
-             \"reference_encode_qps\": {:.1}, \"sweep\": [",
+             \"reference_encode_qps\": {:.1}, \"repair_qps\": {:.1}, \
+             \"reference_repair_qps\": {:.1}, \"sweep\": [",
             self.name,
             self.dim,
             self.queries,
             self.shard_size,
             self.repeats,
             self.seed,
-            self.reference_encode_qps
+            self.reference_encode_qps,
+            self.repair_qps,
+            self.reference_repair_qps
         );
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -109,14 +136,77 @@ fn best_rate<T>(items: usize, repeats: usize, f: impl FnMut() -> T) -> f64 {
     items as f64 / best_seconds(repeats, f)
 }
 
+/// The recovery operating point of perfbench's `recovery_soak` (its
+/// ladder's first rung).
+fn repair_config(seed: u64) -> RecoveryConfig {
+    RecoveryConfig::builder()
+        .chunks(20)
+        .substitution_rate(0.5)
+        .substitution(SubstitutionMode::MajorityCounter { saturation: 3 })
+        .confidence_threshold(0.45)
+        .seed(seed)
+        .build()
+        .expect("valid recovery config")
+}
+
+/// Runs `queries` through twin engines and twin copies of `model`, one by
+/// [`RecoveryEngine::observe`] and one by its per-bit oracle, and asserts
+/// that every observation, the statistics and the model bits agree.
+fn assert_repair_bit_exact(
+    model: &TrainedModel,
+    queries: &[BinaryHypervector],
+    config: &RecoveryConfig,
+    beta: f64,
+) {
+    let (mut fast_model, mut reference_model) = (model.clone(), model.clone());
+    let mut fast = RecoveryEngine::new(config.clone(), beta);
+    let mut reference = RecoveryEngine::new(config.clone(), beta);
+    for (i, query) in queries.iter().enumerate() {
+        let got = fast.observe(&mut fast_model, query);
+        let want = reference.observe_reference(&mut reference_model, query);
+        assert!(
+            got == want
+                && got.confidence.confidence.to_bits() == want.confidence.confidence.to_bits(),
+            "repair observation {i} diverges from the per-bit oracle"
+        );
+    }
+    assert_eq!(fast.stats(), reference.stats(), "repair statistics diverge");
+    assert!(fast_model == reference_model, "repaired model bits diverge");
+}
+
+/// Trusted-query observations per second of one pass of `observe` over
+/// `queries` (best of `repeats`). Every pass starts from a copy of `model`
+/// and a fresh engine, made outside the timed span.
+fn repair_rate(
+    model: &TrainedModel,
+    queries: &[BinaryHypervector],
+    config: &RecoveryConfig,
+    beta: f64,
+    repeats: usize,
+    observe: impl Fn(&mut RecoveryEngine, &mut TrainedModel, &BinaryHypervector) -> Observation,
+) -> f64 {
+    let mut best = 0.0f64;
+    for _ in 0..repeats {
+        let mut model = model.clone();
+        let mut engine = RecoveryEngine::new(config.clone(), beta);
+        let start = Instant::now();
+        for query in queries {
+            observe(&mut engine, &mut model, query);
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        best = best.max(engine.stats().samples_trusted as f64 / seconds);
+    }
+    best
+}
+
 /// Runs the thread sweep on one dataset, serving `queries` raw rows per
-/// timed batch.
+/// timed batch, and times the repair rates on the same model and queries.
 ///
 /// # Panics
 ///
-/// Panics if the fast-path encoder or the engine's predictions ever diverge
-/// from the sequential reference path — the sweep refuses to report
-/// throughput for a non-bit-exact configuration.
+/// Panics if the fast-path encoder, the engine's predictions or the
+/// recovery engine ever diverge from their reference paths — the sweep
+/// refuses to report throughput for a non-bit-exact configuration.
 pub fn run(
     spec: &DatasetSpec,
     queries: usize,
@@ -151,6 +241,20 @@ pub fn run(
         .iter()
         .map(|q| workload.model.predict(q))
         .collect();
+
+    // Cross-check 3: the recovery engine against its per-bit oracle, on
+    // the attacked model the repair rates are timed on.
+    let attacked = attack_hdc(&workload.model, REPAIR_ATTACK_RATE, seed);
+    let repair = repair_config(seed);
+    let beta = workload.config.softmax_beta;
+    let stream = &workload.test_encoded;
+    assert_repair_bit_exact(&attacked, stream, &repair, beta);
+    let repair_qps = repair_rate(&attacked, stream, &repair, beta, repeats, |e, m, q| {
+        e.observe(m, q)
+    });
+    let reference_repair_qps = repair_rate(&attacked, stream, &repair, beta, repeats, |e, m, q| {
+        e.observe_reference(m, q)
+    });
 
     let mut engine = BatchEngine::from_env();
     let mut out_rows = Vec::with_capacity(threads.len());
@@ -200,6 +304,8 @@ pub fn run(
         repeats,
         seed,
         reference_encode_qps,
+        repair_qps,
+        reference_repair_qps,
         rows: out_rows,
     }
 }
@@ -214,6 +320,7 @@ mod tests {
         assert_eq!(o.rows.len(), 2);
         assert_eq!(o.queries, 120);
         assert!(o.reference_encode_qps > 0.0);
+        assert!(o.repair_qps > 0.0 && o.reference_repair_qps > 0.0);
         assert_eq!(o.rows[0].threads, 1);
         assert!((o.rows[0].speedup - 1.0).abs() < 1e-12);
         assert!(o
@@ -232,6 +339,8 @@ mod tests {
             repeats: 1,
             seed: 3,
             reference_encode_qps: 300.0,
+            repair_qps: 70000.0,
+            reference_repair_qps: 9000.0,
             rows: vec![ThroughputRow {
                 threads: 1,
                 encode_qps: 1500.0,
@@ -244,7 +353,8 @@ mod tests {
             o.to_json(),
             "{\"dataset\": \"pecan\", \"dim\": 2048, \"queries\": 10, \"shard_size\": 4, \
              \"repeats\": 1, \"seed\": 3, \"bit_exact\": true, \
-             \"reference_encode_qps\": 300.0, \"sweep\": [\
+             \"reference_encode_qps\": 300.0, \"repair_qps\": 70000.0, \
+             \"reference_repair_qps\": 9000.0, \"sweep\": [\
              {\"threads\": 1, \"encode_qps\": 1500.0, \"score_qps\": 80000.0, \
              \"end_to_end_qps\": 1400.0, \"speedup\": 1.000}]}"
         );

@@ -1022,7 +1022,17 @@ Before timing, the encoder is cross-checked against the scalar reference
 encoder and the engine's predictions against the sequential path at every
 thread count, so the reported rates always describe the bit-exact engine.
 The reference encoder is timed once, single-threaded, as
-reference_encode_qps. Emits one JSON object to stdout.
+reference_encode_qps.
+
+The recovery engine is timed beside the sweep, single-threaded, on the
+trained model with 8% of its bits flipped, at the recovery_soak operating
+point (m = 20, S = 0.5, majority saturation 3, T_C = 0.45):
+
+    repair_qps             trusted-query observations/s of observe
+    reference_repair_qps   the same for the per-bit oracle observe_reference
+
+Twin engines first run the query stream through both and must agree to
+the bit. Emits one JSON object to stdout.
 
 OPTIONS:
     --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
@@ -2123,6 +2133,11 @@ mod tests {
         assert!(report.contains("encode_qps"), "report: {report}");
         assert!(report.contains("score_qps"), "report: {report}");
         assert!(report.contains("end_to_end_qps"), "report: {report}");
+        assert!(report.contains("\"repair_qps\": "), "report: {report}");
+        assert!(
+            report.contains("\"reference_repair_qps\": "),
+            "report: {report}"
+        );
     }
 
     #[test]

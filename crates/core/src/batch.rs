@@ -66,17 +66,35 @@ pub fn chunk_bounds(dim: usize, chunks: usize, index: usize) -> (usize, usize) {
     (index * dim / chunks, (index + 1) * dim / chunks)
 }
 
+/// The statistical margin of a `len`-bit chunk: `round(fault_margin ·
+/// √len)` bits. A rival must beat the predicted class on the chunk by more
+/// than this for [`chunk_is_faulty`] to flag it.
+pub(crate) fn margin_bits(fault_margin: f64, len: usize) -> usize {
+    hypervector::cast::round_to_usize(fault_margin * (len as f64).sqrt())
+}
+
+/// The §4.2 fault rule for one non-empty chunk: the closest rival's chunk
+/// distance plus the margin is still below the predicted class's.
+///
+/// `saturating_add` keeps the `usize::MAX` "no rival" sentinel of a
+/// single-class model out of overflow; real distances are at most the
+/// dimension, far from saturation.
+pub(crate) fn chunk_is_faulty(predicted: usize, rival_best: usize, margin_bits: usize) -> bool {
+    rival_best.saturating_add(margin_bits) < predicted
+}
+
 /// Chunk-fault localization (§4.2 of the paper): a chunk is faulty when
 /// some other class beats the predicted class on that chunk by more than
 /// `fault_margin * sqrt(d)` bits.
 ///
-/// This is the read-only core the [`crate::recovery::RecoveryEngine`]
-/// shares with [`BatchEngine::scan_faults_batch`]: all per-chunk distances
-/// come from the fused
-/// [`chunked_hamming`](hypervector::similarity::chunked_hamming) kernel
-/// (one XOR pass per class instead of one per class×chunk), and the flag
-/// decision is exact integer arithmetic — bit-identical to the former
-/// per-range scan.
+/// This is the straightforward form, kept as the oracle of the
+/// [`crate::recovery::RecoveryEngine`]'s fused pass
+/// (`RecoveryEngine::observe_reference` runs it): every call splits each
+/// class with the fused
+/// [`chunked_hamming`](hypervector::similarity::chunked_hamming) kernel (one
+/// XOR pass per class instead of one per class×chunk) and works out each
+/// chunk's margin again. The decision itself ([`chunk_is_faulty`]) is the
+/// one copy of the rule both paths share.
 ///
 /// # Panics
 ///
@@ -96,8 +114,7 @@ pub fn scan_chunk_faults(
     // into the per-chunk best (minimum) rival distance: "some rival beats
     // the predicted class by more than the margin" depends only on the
     // closest rival, so this is decision-identical to keeping every
-    // rival's distances — without the per-rival Vec the old
-    // `Vec<Vec<usize>>` collect allocated.
+    // rival's distances.
     let mut rival_best = vec![usize::MAX; chunks];
     let mut scratch = Vec::with_capacity(chunks);
     for c in (0..model.num_classes()).filter(|&c| c != predicted) {
@@ -114,14 +131,9 @@ pub fn scan_chunk_faults(
             continue;
         }
         inspected += 1;
-        let d = end - start;
-        let margin_bits = hypervector::cast::round_to_usize(fault_margin * (d as f64).sqrt());
-        let predicted_dist = predicted_dists[chunk]; // audit:allow(panic): predicted_dists has one entry per chunk
-                                                     // `saturating_add` keeps the usize::MAX sentinel of a rival-less
-                                                     // (single-class) model out of overflow; real distances are at most
-                                                     // `dim`, far from saturation.
-                                                     // audit:allow(panic): rival_best has one entry per chunk
-        if rival_best[chunk].saturating_add(margin_bits) < predicted_dist {
+        let margin = margin_bits(fault_margin, end - start);
+        // audit:allow(panic): predicted_dists and rival_best have one entry per chunk
+        if chunk_is_faulty(predicted_dists[chunk], rival_best[chunk], margin) {
             faulty.push(chunk);
         }
     }
@@ -130,7 +142,7 @@ pub fn scan_chunk_faults(
 
 /// Similarity derived from a Hamming distance exactly as
 /// [`hypervector::BinaryHypervector::similarity`] computes it.
-fn similarity_from_distance(distance: usize, dim: usize) -> f64 {
+pub(crate) fn similarity_from_distance(distance: usize, dim: usize) -> f64 {
     if dim == 0 {
         1.0
     } else {
@@ -138,13 +150,13 @@ fn similarity_from_distance(distance: usize, dim: usize) -> f64 {
     }
 }
 
-/// [`similarity_from_distance`] for every class, in class order — the
-/// float inputs [`Confidence::from_similarities`] expects.
-fn similarities_from_distances(distances: &[usize], dim: usize) -> Vec<f64> {
-    distances
-        .iter()
-        .map(|&d| similarity_from_distance(d, dim))
-        .collect()
+/// [`similarity_from_distance`] for every class, in class order, into
+/// `out` (cleared first) — the float inputs
+/// [`Confidence::from_similarities`] expects, in a buffer reused across a
+/// shard's queries.
+fn similarities_from_distances(distances: &[usize], dim: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(distances.iter().map(|&d| similarity_from_distance(d, dim)));
 }
 
 /// `(predicted, margin)` from one query's class distances, bit-identical
@@ -387,12 +399,12 @@ impl BatchEngine {
         let packed = model.packed();
         let dim = model.dim();
         self.map_shards(queries, |shard| {
-            let mut distances = Vec::new();
+            let (mut distances, mut similarities) = (Vec::new(), Vec::new());
             shard
                 .iter()
                 .map(|query| {
                     packed.hamming_all_into(query, &mut distances);
-                    let similarities = similarities_from_distances(&distances, dim);
+                    similarities_from_distances(&distances, dim, &mut similarities);
                     BatchScore {
                         predicted: argmin_first(&distances),
                         confidence: Confidence::from_similarities(&similarities, beta),
@@ -514,55 +526,17 @@ impl BatchEngine {
         let packed = model.packed();
         let dim = model.dim();
         self.map_shards(batch, |shard| {
-            let mut distances = Vec::new();
+            let (mut distances, mut similarities) = (Vec::new(), Vec::new());
             shard
                 .iter()
                 .map(|features| {
                     let query = encoder.encode(features);
                     packed.hamming_all_into(&query, &mut distances);
-                    let similarities = similarities_from_distances(&distances, dim);
+                    similarities_from_distances(&distances, dim, &mut similarities);
                     BatchScore {
                         predicted: argmin_first(&distances),
                         confidence: Confidence::from_similarities(&similarities, beta),
                     }
-                })
-                .collect()
-        })
-    }
-
-    /// Chunk-fault localization ([`scan_chunk_faults`]) for every
-    /// `(query, predicted)` pair, sharded across the worker threads.
-    ///
-    /// Localization is read-only, so unlike substitution it parallelizes
-    /// without touching the recovery engine's RNG stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`scan_chunk_faults`], or if
-    /// `queries` and `predictions` have different lengths.
-    pub fn scan_faults_batch(
-        &self,
-        model: &TrainedModel,
-        queries: &[BinaryHypervector],
-        predictions: &[usize],
-        chunks: usize,
-        fault_margin: f64,
-    ) -> Vec<FaultScan> {
-        assert_eq!(
-            queries.len(),
-            predictions.len(),
-            "queries and predictions must align"
-        );
-        let indexed: Vec<(usize, usize)> = predictions
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i, p))
-            .collect();
-        self.map_shards(&indexed, |shard| {
-            shard
-                .iter()
-                .map(|&(i, predicted)| {
-                    scan_chunk_faults(model, &queries[i], predicted, chunks, fault_margin)
                 })
                 .collect()
         })
@@ -664,22 +638,6 @@ mod tests {
         let scan = scan_chunk_faults(&model, query, 0, m, 1.0);
         assert_eq!(scan.inspected, m);
         assert!(scan.faulty.contains(&5), "faulty: {:?}", scan.faulty);
-    }
-
-    #[test]
-    fn fault_scan_batch_matches_single_scans() {
-        let (model, queries) = setup(5, 4, 40);
-        let predictions: Vec<_> = queries.iter().map(|q| model.predict(q)).collect();
-        let sequential: Vec<_> = queries
-            .iter()
-            .zip(&predictions)
-            .map(|(q, &p)| scan_chunk_faults(&model, q, p, 20, 1.0))
-            .collect();
-        for threads in [1, 2, 8] {
-            let batched =
-                engine(threads, 4).scan_faults_batch(&model, &queries, &predictions, 20, 1.0);
-            assert_eq!(batched, sequential, "threads={threads}");
-        }
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub struct Confidence {
 impl Confidence {
     /// Computes prediction confidence from raw per-class similarities.
     ///
+    /// The margin is the difference of the two highest similarities (in
+    /// `f64::total_cmp` order), found in one scan without a sorted copy.
+    ///
     /// # Panics
     ///
     /// Panics if `similarities` is empty or `beta` is not positive and
@@ -59,13 +62,18 @@ impl Confidence {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("nonempty"); // audit:allow(panic): similarities asserted non-empty at entry
-        let mut sorted = similarities.to_vec();
-        sorted.sort_by(|a, b| b.total_cmp(a));
-        let margin = if sorted.len() >= 2 {
-            sorted[0] - sorted[1] // audit:allow(panic): guarded by the len >= 2 branch
-        } else {
-            0.0
-        };
+        let mut rest = similarities.iter().copied();
+        let mut top = rest.next().expect("nonempty"); // audit:allow(panic): similarities asserted non-empty at entry
+        let mut runner_up = None::<f64>;
+        for s in rest {
+            if s.total_cmp(&top).is_gt() {
+                runner_up = Some(top);
+                top = s;
+            } else if runner_up.is_none_or(|r| s.total_cmp(&r).is_gt()) {
+                runner_up = Some(s);
+            }
+        }
+        let margin = runner_up.map_or(0.0, |r| top - r);
         Self {
             label,
             confidence: probabilities[label], // audit:allow(panic): label indexes the same-length probabilities
@@ -174,6 +182,34 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_beta_panics() {
         Confidence::from_similarities(&[0.5], 0.0);
+    }
+
+    #[test]
+    fn margin_matches_the_sorting_definition() {
+        // The one-scan margin against the difference of the two leading
+        // entries of a sorted copy, to the bit, including ties and signed
+        // zeros.
+        let cases: [&[f64]; 6] = [
+            &[0.9],
+            &[0.5, 0.5],
+            &[0.2, 0.7, 0.7, 0.1],
+            &[0.0, -0.0, 0.3],
+            &[0.61, 0.75, 0.52, 0.75, 0.74],
+            &[
+                0.1, 0.9, 0.3, 0.2, 0.85, 0.11, 0.6, 0.6, 0.59, 0.4, 0.45, 0.05,
+            ],
+        ];
+        for similarities in cases {
+            let c = Confidence::from_similarities(similarities, 64.0);
+            let mut sorted = similarities.to_vec();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            let margin = if sorted.len() >= 2 {
+                sorted[0] - sorted[1]
+            } else {
+                0.0
+            };
+            assert_eq!(c.margin.to_bits(), margin.to_bits(), "{similarities:?}");
+        }
     }
 
     #[test]

@@ -653,8 +653,9 @@ pub const KERNEL_TIER_ENV_VAR: &str = "ROBUSTHD_KERNEL_TIER";
 
 /// Selection of the execution-tier kernel implementation
 /// ([`hypervector::tier`]): the scalar `Reference` tier or the portable
-/// wide-lane `Wide` tier behind every Hamming, majority, and codebook-XOR
-/// kernel.
+/// wide-lane `Wide` tier behind both kernel families — XOR + popcount
+/// Hamming distance, and the carry-save majority ripple (including the
+/// fused bind+bundle that record encoding runs on).
 ///
 /// Like [`BatchConfig`], this is a pure throughput knob: both tiers
 /// compute exact integer popcounts and identical bit patterns, which the
@@ -1063,7 +1064,8 @@ impl FlagRegistry {
                 owner: "KernelConfig",
                 default: "wide",
                 doc: "Set to reference/ref/scalar to pin the execution-tier \
-                      kernels (hamming, majority, codebook XOR) to the scalar \
+                      kernels (XOR + popcount hamming; carry-save majority \
+                      ripple, fused bind+bundle included) to the scalar \
                       reference tier instead of the wide-lane tier; both tiers \
                       are bit-identical.",
                 raw: std::env::var(KERNEL_TIER_ENV_VAR).ok(),

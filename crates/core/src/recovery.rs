@@ -17,10 +17,14 @@
 //!    class vector, substitution pulls corrupted bits back toward their
 //!    pre-attack majority values while leaving healthy bits mostly intact.
 
-use crate::batch::{chunk_bounds, scan_chunk_faults};
+use crate::batch::{
+    chunk_bounds, chunk_is_faulty, margin_bits, scan_chunk_faults, similarity_from_distance,
+    FaultScan,
+};
 use crate::confidence::Confidence;
 use crate::config::{RecoveryConfig, SubstitutionMode};
 use crate::model::TrainedModel;
+use hypervector::similarity::ChunkedHamming;
 use hypervector::BinaryHypervector;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -136,12 +140,16 @@ pub struct RecoveryEngine {
     /// Per-word flip masks of the substitution in progress, reused across
     /// calls so substitution allocates nothing.
     flips: Vec<u64>,
+    /// The runtime path's chunk split, margins and per-query buffers,
+    /// built on first use and rebuilt when the split changes.
+    fused: Option<FusedScan>,
 }
 
 /// Which implementation [`RecoveryEngine`] runs its RNG-driven steps with.
 #[derive(Clone, Copy)]
 enum Path {
-    /// Word-parallel vote and substitution (the runtime path).
+    /// One fused pass for confidence and chunk faults, the vectorised
+    /// vote and word-parallel substitution (the runtime path).
     Words,
     /// One bit at a time (the oracle).
     Bits,
@@ -167,6 +175,7 @@ impl RecoveryEngine {
             stats: RecoveryStats::default(),
             counters: Vec::new(),
             flips: Vec::new(),
+            fused: None,
         }
     }
 
@@ -192,6 +201,12 @@ impl RecoveryEngine {
 
     /// Processes one unlabeled query: predicts, and if the prediction is
     /// trusted, detects faulty chunks and repairs them in `model`.
+    ///
+    /// One pass over `model.classes()` splits every class into its chunk
+    /// distances to the query; their row sums give the confidence and the
+    /// fault decision reads the same distances, so the model's packed
+    /// scoring copy is never needed (nor rebuilt after a repair). Apart from
+    /// the returned [`Observation`], a query allocates nothing.
     ///
     /// # Panics
     ///
@@ -231,7 +246,15 @@ impl RecoveryEngine {
             model.dim()
         );
         self.stats.samples_seen += 1;
-        let confidence = Confidence::evaluate(model, query, self.softmax_beta);
+        let confidence = match path {
+            Path::Words => {
+                let beta = self.softmax_beta;
+                let scan = self.fused_scan(model.dim());
+                scan.score(model, query);
+                Confidence::from_similarities(&scan.similarities, beta)
+            }
+            Path::Bits => Confidence::evaluate(model, query, self.softmax_beta),
+        };
         if !confidence.is_trusted(self.config.confidence_threshold) {
             return Observation {
                 confidence,
@@ -259,7 +282,7 @@ impl RecoveryEngine {
             }
         }
 
-        let faulty_chunks = self.detect_faulty_chunks(model, query, predicted);
+        let faulty_chunks = self.detect_faulty_chunks(path, model, query, predicted);
         let mut substitute = |engine: &mut Self, start: usize, end: usize| match path {
             Path::Words => engine.substitute(model, predicted, query, start, end),
             Path::Bits => engine.substitute_per_bit(model, predicted, query, start, end),
@@ -304,6 +327,23 @@ impl RecoveryEngine {
         chunk_bounds(dim, self.config.chunks, index)
     }
 
+    /// The fused-pass state for a model of dimension `dim` at the current
+    /// `chunks` and `fault_margin`, rebuilt when any of the three differs
+    /// from the cached one (the supervisor's ladder changes `chunks` on
+    /// every climb).
+    fn fused_scan(&mut self, dim: usize) -> &mut FusedScan {
+        let (chunks, margin) = (self.config.chunks, self.config.fault_margin);
+        if self
+            .fused
+            .as_ref()
+            .is_some_and(|scan| !scan.is_for(dim, chunks, margin))
+        {
+            self.fused = None;
+        }
+        self.fused
+            .get_or_insert_with(|| FusedScan::new(dim, chunks, margin))
+    }
+
     /// §4.2: each chunk acts as an independent `d`-dimensional HDC model;
     /// a chunk is faulty when some other class beats the trusted class on
     /// that chunk by more than the statistical margin.
@@ -317,23 +357,30 @@ impl RecoveryEngine {
     /// while still firing on chunks whose stored bits were actually
     /// corrupted (corruption shifts the chunk distance by `O(d)`).
     ///
-    /// Detection is read-only, so it shares
-    /// [`scan_chunk_faults`](crate::batch::scan_chunk_faults) — the fused,
-    /// shardable traversal of the batch engine — and only folds the result
-    /// into the engine's counters here.
+    /// The runtime path reads the chunk distances the confidence pass of
+    /// the same query already filled ([`FusedScan`]), so detection costs
+    /// one min-fold over the classes and one compare per chunk. The oracle
+    /// runs [`scan_chunk_faults`](crate::batch::scan_chunk_faults), which
+    /// splits every class again. Both apply the one fault rule,
+    /// [`chunk_is_faulty`](crate::batch::chunk_is_faulty), and only the
+    /// result is folded into the engine's counters here.
     fn detect_faulty_chunks(
         &mut self,
+        path: Path,
         model: &TrainedModel,
         query: &BinaryHypervector,
         predicted: usize,
     ) -> Vec<usize> {
-        let scan = scan_chunk_faults(
-            model,
-            query,
-            predicted,
-            self.config.chunks,
-            self.config.fault_margin,
-        );
+        let scan = match path {
+            Path::Words => self.fused_scan(model.dim()).faults(predicted),
+            Path::Bits => scan_chunk_faults(
+                model,
+                query,
+                predicted,
+                self.config.chunks,
+                self.config.fault_margin,
+            ),
+        };
         self.stats.chunks_inspected += scan.inspected;
         self.stats.chunks_faulty += scan.faulty.len();
         scan.faulty
@@ -343,27 +390,29 @@ impl RecoveryEngine {
     /// saturating counters (majority-counter mode only). Each dimension
     /// votes with probability `S`.
     ///
-    /// Word-parallel: per 64-bit word of the query, the 64 Bernoulli draws
-    /// are taken in bit order into a hit mask ([`draw_hits`]), then the
-    /// word's counters step toward the query bits without a branch. A
-    /// counter whose draw missed keeps its value. Bit-identical to
-    /// [`RecoveryEngine::vote_per_bit`], RNG stream included.
+    /// Vectorised: per 64-bit word of the query, the 64 Bernoulli draws
+    /// are taken in bit order straight into byte lanes (`-1` where the
+    /// draw hit, [`draw_hit_lanes`]), the query word is spread into byte
+    /// lanes by a 256-entry table ([`SPREAD`]), and the word's 64 `i8`
+    /// counters step in one loop over the lanes that the compiler
+    /// vectorises ([`step_counters`]). A counter whose draw missed keeps
+    /// its value, even beyond a lowered saturation. Bit-identical to
+    /// [`RecoveryEngine::vote_per_bit`], RNG stream included: what is left
+    /// is mostly the draws themselves.
     fn vote(&mut self, label: usize, query: &BinaryHypervector, saturation: u8) {
         let sat = i8::try_from(saturation).unwrap_or(i8::MAX);
         let threshold = hit_threshold(self.config.substitution_rate);
         // audit:allow(panic): counters has one row per class, sized in observe_on
         let counters = &mut self.counters[label];
+        let mut hits = [0i8; 64];
+        let mut ups = [0i8; 64];
         for (counters, &word) in counters.chunks_mut(64).zip(query.bits().words()) {
-            let hits = draw_hits(&mut self.rng, threshold, counters.len());
-            for (j, counter) in counters.iter_mut().enumerate() {
-                let step = if (word >> j) & 1 == 1 { 1 } else { -1 };
-                let voted = counter.saturating_add(step).clamp(-sat, sat);
-                *counter = if (hits >> j) & 1 == 1 {
-                    voted
-                } else {
-                    *counter
-                };
+            draw_hit_lanes(&mut self.rng, threshold, &mut hits, counters.len());
+            for (lanes, byte) in ups.chunks_exact_mut(8).zip(word.to_le_bytes()) {
+                // audit:allow(panic): SPREAD has one entry per byte value
+                lanes.copy_from_slice(&SPREAD[usize::from(byte)]);
             }
+            step_counters(counters, &hits, &ups, sat);
         }
     }
 
@@ -532,6 +581,153 @@ fn draw_hits(rng: &mut StdRng, threshold: u64, bits: usize) -> u64 {
         hits |= u64::from((rng.next_u64() >> 11) < threshold) << j;
     }
     hits
+}
+
+/// Draws the first `lanes` (at most 64) Bernoulli trials of a word in
+/// order — the same raw draws as [`draw_hits`] — into byte lanes: lane `j`
+/// is `-1` (all ones) when trial `j` hit and `0` when it missed.
+// audit:allow(panic): lanes is at most 64, the length of hits
+fn draw_hit_lanes(rng: &mut StdRng, threshold: u64, hits: &mut [i8; 64], lanes: usize) {
+    for hit in &mut hits[..lanes] {
+        *hit = -i8::from((rng.next_u64() >> 11) < threshold);
+    }
+}
+
+/// `SPREAD[b]` spreads the byte `b` into 8 lanes: lane `i` is `-1` (all
+/// ones) when bit `i` of `b` is set and `0` otherwise.
+const SPREAD: [[i8; 8]; 256] = {
+    let mut table = [[0i8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if (byte >> bit) & 1 == 1 {
+                table[byte][bit] = -1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// One vote step over a word's counters: where `hits` is `-1`, the counter
+/// moves one step toward its query bit (`+1` where `ups` is `-1`, `-1`
+/// where it is `0`), saturating and then clamped to `±sat`; where `hits`
+/// is `0`, it keeps its value. Branch-free over `i8` lanes, so the loop
+/// vectorises.
+fn step_counters(counters: &mut [i8], hits: &[i8; 64], ups: &[i8; 64], sat: i8) {
+    for ((counter, &hit), &up) in counters.iter_mut().zip(hits).zip(ups) {
+        let step = !up | 1;
+        let voted = counter.saturating_add(step).max(-sat).min(sat);
+        *counter = (voted & hit) | (*counter & !hit);
+    }
+}
+
+/// The runtime path's one pass over the classes (see
+/// [`RecoveryEngine::observe`]): every class's chunk distances to the
+/// query go into a `classes × chunks` buffer, the row sums — each class's
+/// exact Hamming distance — give the similarities the confidence is
+/// computed from, and the fault decision reads the same buffer. The chunk
+/// split and each chunk's margin are cached for one `(dim, chunks,
+/// fault_margin)`, so a query allocates nothing here.
+#[derive(Debug)]
+struct FusedScan {
+    split: ChunkedHamming,
+    /// The `fault_margin` the per-chunk margins were derived from.
+    fault_margin: f64,
+    /// Margin bits per chunk; `None` for an empty chunk, which is never
+    /// inspected.
+    margins: Vec<Option<usize>>,
+    /// Non-empty chunks.
+    inspected: usize,
+    /// Class-major chunk distances of the last scored query.
+    distances: Vec<usize>,
+    /// Per-class similarities of the last scored query.
+    similarities: Vec<f64>,
+    /// Scratch: the closest rival's distance per chunk.
+    rival_best: Vec<usize>,
+}
+
+impl FusedScan {
+    fn new(dim: usize, chunks: usize, fault_margin: f64) -> Self {
+        let margins: Vec<Option<usize>> = (0..chunks)
+            .map(|chunk| {
+                let (start, end) = chunk_bounds(dim, chunks, chunk);
+                (start < end).then(|| margin_bits(fault_margin, end - start))
+            })
+            .collect();
+        Self {
+            split: ChunkedHamming::new(dim, chunks),
+            fault_margin,
+            inspected: margins.iter().flatten().count(),
+            margins,
+            distances: Vec::new(),
+            similarities: Vec::new(),
+            rival_best: Vec::new(),
+        }
+    }
+
+    /// Whether the cached split and margins are those of `(dim, chunks,
+    /// fault_margin)`.
+    fn is_for(&self, dim: usize, chunks: usize, fault_margin: f64) -> bool {
+        self.split.dim() == dim
+            && self.split.chunks() == chunks
+            && self.fault_margin.to_bits() == fault_margin.to_bits()
+    }
+
+    /// Fills the chunk distances and the similarities of `query` against
+    /// every class of `model`. A similarity is `1 − d/D` of the row sum,
+    /// the same float expression as [`TrainedModel::similarities`].
+    fn score(&mut self, model: &TrainedModel, query: &BinaryHypervector) {
+        let chunks = self.split.chunks();
+        let dim = model.dim();
+        self.distances.resize(model.num_classes() * chunks, 0);
+        self.similarities.clear();
+        for (class, row) in model
+            .classes()
+            .iter()
+            .zip(self.distances.chunks_exact_mut(chunks))
+        {
+            self.split.distances_into(class, query, row);
+            let distance: usize = row.iter().sum();
+            self.similarities
+                .push(similarity_from_distance(distance, dim));
+        }
+    }
+
+    /// The faulty chunks of the last scored query for the trusted class
+    /// `predicted`.
+    fn faults(&mut self, predicted: usize) -> FaultScan {
+        let chunks = self.margins.len();
+        self.rival_best.clear();
+        self.rival_best.resize(chunks, usize::MAX);
+        let mut own: &[usize] = &[];
+        for (class, row) in self.distances.chunks_exact(chunks).enumerate() {
+            if class == predicted {
+                own = row;
+                continue;
+            }
+            for (best, &d) in self.rival_best.iter_mut().zip(row) {
+                *best = (*best).min(d);
+            }
+        }
+        let faulty = own
+            .iter()
+            .zip(&self.rival_best)
+            .zip(&self.margins)
+            .enumerate()
+            .filter_map(|(chunk, ((&own, &rival), margin))| {
+                margin
+                    .is_some_and(|margin| chunk_is_faulty(own, rival, margin))
+                    .then_some(chunk)
+            })
+            .collect();
+        FaultScan {
+            faulty,
+            inspected: self.inspected,
+        }
+    }
 }
 
 /// Mixed into the user seed so the substitution RNG decorrelates from other

@@ -220,29 +220,6 @@ fn supervised_serving_is_bit_identical_including_under_quarantine() {
     );
 }
 
-#[test]
-fn fault_scans_are_bit_identical_across_thread_counts() {
-    let (clean, queries) = setup(17, 5, 40);
-    let attacked = attack(&clean, 0.25, 0xFA17);
-    let predictions: Vec<usize> = queries.iter().map(|q| attacked.predict(q)).collect();
-    let reference = engine(1, 1).scan_faults_batch(&attacked, &queries, &predictions, 8, 0.25);
-    for &threads in &[2usize, 4, 8] {
-        for &shard in &[3usize, 64] {
-            assert_eq!(
-                engine(threads, shard).scan_faults_batch(
-                    &attacked,
-                    &queries,
-                    &predictions,
-                    8,
-                    0.25
-                ),
-                reference,
-                "fault scan diverges at {threads} threads, shard {shard}"
-            );
-        }
-    }
-}
-
 /// The canary probe's `(predicted, margin)` — `predicted_margin` over the
 /// class distances, the distances from the sharded `row_distances` — must
 /// equal `(predicted, confidence.margin)` of the full scoring pass to the

@@ -22,8 +22,9 @@
 //!   hypervector sets.
 //! * [`similarity`] — Hamming / normalized / dot / cosine similarity kernels,
 //!   plus the fused all-classes and per-chunk popcount kernels
-//!   ([`PackedClasses`], [`similarity::chunked_hamming`]) behind the batched
-//!   inference engine.
+//!   ([`PackedClasses`], [`similarity::chunked_hamming`],
+//!   [`similarity::ChunkedHamming`]) behind the batched inference engine
+//!   and the recovery loop.
 //! * [`tier`] — the execution-tier kernel subsystem: every hot kernel in a
 //!   scalar `Reference` and a portable wide-lane `Wide` tier
 //!   ([`KernelTier`]), runtime-dispatched and bit-identical by

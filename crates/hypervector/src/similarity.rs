@@ -158,13 +158,15 @@ pub fn chunked_hamming(a: &BinaryHypervector, b: &BinaryHypervector, chunks: usi
 }
 
 /// [`chunked_hamming`] into a caller-owned buffer (cleared first) — the
-/// scratch-reuse form for batch paths that scan chunks per class per
-/// query and must not allocate per call.
+/// scratch-reuse form for one-off scans such as the chunk-fault oracle
+/// `robusthd::batch::scan_chunk_faults`.
 ///
 /// One pass: every word is XORed and popcounted once into a running
 /// prefix count, and each chunk boundary reads that prefix plus one masked
 /// popcount of the word it falls inside. A chunk's distance is the
-/// difference of the prefixes at its two boundaries.
+/// difference of the prefixes at its two boundaries. Every call derives
+/// the boundaries again (one integer division each); a caller that scans
+/// many vectors at one split uses [`ChunkedHamming`], which caches them.
 ///
 /// # Panics
 ///
@@ -203,6 +205,115 @@ pub fn chunked_hamming_into(
         };
         out.push(prefix - previous);
         previous = prefix;
+    }
+}
+
+/// [`chunked_hamming`] at one fixed `(dim, chunks)` split, with the chunk
+/// boundaries worked out once instead of on every call.
+///
+/// Each boundary is cached as the word it falls in plus the mask of the
+/// bits below it in that word. A call popcounts every word of `a ^ b`
+/// into a reused buffer (a plain loop the compiler vectorises), takes the
+/// running prefix, and reads each chunk's distance as the difference of
+/// the prefixes at its two boundaries, each boundary adding one masked
+/// popcount of the word it falls in — the same exact integers as
+/// [`chunked_hamming_into`], with no division and no allocation.
+///
+/// # Example
+///
+/// ```
+/// use hypervector::{similarity::{chunked_hamming, ChunkedHamming}, BinaryHypervector};
+///
+/// let a = BinaryHypervector::from_fn(100, |i| i % 3 == 0);
+/// let b = BinaryHypervector::zeros(100);
+/// let mut split = ChunkedHamming::new(100, 7);
+/// let mut out = [0; 7];
+/// split.distances_into(&a, &b, &mut out);
+/// assert_eq!(out.to_vec(), chunked_hamming(&a, &b, 7));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ChunkedHamming {
+    dim: usize,
+    /// Per chunk, its end boundary: the word the boundary falls in and
+    /// the mask of the bits below it there (zero on a word edge).
+    ends: Vec<(usize, u64)>,
+    /// Scratch: the popcount of `a ^ b` per word, then the running prefix
+    /// (`prefix[w]` counts words `0..w`).
+    popcounts: Vec<u32>,
+    prefix: Vec<usize>,
+}
+
+impl ChunkedHamming {
+    /// Caches the boundaries of `chunks` spans over `dim` bits — chunk `i`
+    /// covers `[i*dim/chunks, (i+1)*dim/chunks)`, as in [`chunked_hamming`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunks` is zero.
+    pub fn new(dim: usize, chunks: usize) -> Self {
+        assert!(chunks > 0, "chunked_hamming needs at least one chunk");
+        let ends = (1..=chunks)
+            .map(|chunk| {
+                let end = chunk * dim / chunks;
+                (end / 64, (1u64 << (end % 64)) - 1)
+            })
+            .collect();
+        let words = dim.div_ceil(64);
+        Self {
+            dim,
+            ends,
+            popcounts: vec![0; words],
+            prefix: vec![0; words + 1],
+        }
+    }
+
+    /// The dimension the split is for.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The number of chunks.
+    pub fn chunks(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Per-chunk Hamming distances of `a` and `b`, written to `out` in
+    /// chunk order. Equal to [`chunked_hamming_into`] on the same vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not of the split's dimension, or `out` is not
+    /// `chunks` long.
+    // audit:allow(panic): a boundary with a nonzero mask lies inside the dimension's word count
+    pub fn distances_into(
+        &mut self,
+        a: &BinaryHypervector,
+        b: &BinaryHypervector,
+        out: &mut [usize],
+    ) {
+        assert!(
+            a.dim() == self.dim && b.dim() == self.dim,
+            "dimension mismatch in chunked_hamming"
+        );
+        assert_eq!(out.len(), self.ends.len(), "one distance per chunk");
+        let (a, b) = (a.bits().words(), b.bits().words());
+        for ((count, &x), &y) in self.popcounts.iter_mut().zip(a).zip(b) {
+            *count = (x ^ y).count_ones();
+        }
+        let mut running = 0usize;
+        for (prefix, &count) in self.prefix[1..].iter_mut().zip(&self.popcounts) {
+            running += count as usize;
+            *prefix = running;
+        }
+        let mut previous = 0usize;
+        for (distance, &(word, mask)) in out.iter_mut().zip(&self.ends) {
+            let mut at = self.prefix[word];
+            if mask != 0 {
+                at += ((a[word] ^ b[word]) & mask).count_ones() as usize;
+            }
+            *distance = at - previous;
+            previous = at;
+        }
     }
 }
 
@@ -281,12 +392,9 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
 /// assert!((sum - 1.0).abs() < 1e-12);
 /// ```
 pub fn softmax(scores: &[f64]) -> Vec<f64> {
-    let Some(max) = scores.iter().copied().reduce(f64::max) else {
-        return Vec::new();
-    };
-    let exps: Vec<f64> = scores.iter().map(|&s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut probabilities = scores.to_vec();
+    softmax_in_place(&mut probabilities);
+    probabilities
 }
 
 /// Softmax with inverse temperature `beta` (`beta = 1.0` is plain softmax;
@@ -294,10 +402,26 @@ pub fn softmax(scores: &[f64]) -> Vec<f64> {
 ///
 /// RobustHD's confidence threshold is calibrated on sharpened similarities
 /// because raw Hamming similarities of high-dimensional data cluster near
-/// 0.5.
+/// 0.5. The scaled scores go into the one vector that is returned.
 pub fn softmax_with_temperature(scores: &[f64], beta: f64) -> Vec<f64> {
-    let scaled: Vec<f64> = scores.iter().map(|&s| s * beta).collect();
-    softmax(&scaled)
+    let mut probabilities: Vec<f64> = scores.iter().map(|&s| s * beta).collect();
+    softmax_in_place(&mut probabilities);
+    probabilities
+}
+
+/// Replaces `scores` by their softmax: subtract the maximum, exponentiate,
+/// divide by the sum. Empty input stays empty.
+fn softmax_in_place(scores: &mut [f64]) {
+    let Some(max) = scores.iter().copied().reduce(f64::max) else {
+        return;
+    };
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+    }
+    let sum: f64 = scores.iter().sum();
+    for s in scores.iter_mut() {
+        *s /= sum;
+    }
 }
 
 #[cfg(test)]
@@ -416,6 +540,34 @@ mod tests {
             }
             assert_eq!(fused.iter().sum::<usize>(), a.hamming_distance(&b));
         }
+    }
+
+    #[test]
+    fn cached_chunk_split_matches_chunked_hamming() {
+        for dim in [0, 1, 63, 64, 65, 257, 2048] {
+            let a = BinaryHypervector::from_fn(dim, |i| i % 5 < 2);
+            let b = BinaryHypervector::from_fn(dim, |i| (i * i) % 7 < 3);
+            for chunks in [1, 2, 3, 20, 32, 40, 64, 300] {
+                let mut split = ChunkedHamming::new(dim, chunks);
+                assert_eq!((split.dim(), split.chunks()), (dim, chunks));
+                let mut out = vec![usize::MAX; chunks];
+                // Twice: the scratch of the first call must not leak.
+                for _ in 0..2 {
+                    split.distances_into(&a, &b, &mut out);
+                    assert_eq!(out, chunked_hamming(&a, &b, chunks), "{chunks} of {dim}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn cached_chunk_split_rejects_another_dimension_of_the_same_word_count() {
+        // 100 and 127 bits both pack into two words.
+        let mut split = ChunkedHamming::new(127, 4);
+        let a = BinaryHypervector::zeros(100);
+        let mut out = [0; 4];
+        split.distances_into(&a, &a, &mut out);
     }
 
     #[test]
