@@ -32,13 +32,15 @@
 //! run's model with [`REPAIR_ATTACK_RATE`] of its bits flipped, at the
 //! operating point of perfbench's `recovery_soak` (`m` = 20, `S` = 0.5,
 //! majority saturation 3, `T_C` = 0.45). Twin engines first run the same
-//! stream through both and must agree to the bit.
+//! stream through both and must agree to the bit. The two paths are then
+//! timed interleaved, one pass of each per round, and each rate is the
+//! median over the rounds: one pass takes only ~10 ms at 1000 queries, and
+//! best-of-N blocks timed one after the other drifted with host load.
 
 use crate::attack::attack_hdc;
 use crate::timing::best_seconds;
 use crate::workload::EncodedWorkload;
 use hypervector::BinaryHypervector;
-use robusthd::recovery::Observation;
 use robusthd::{
     BatchConfig, BatchEngine, RecoveryConfig, RecoveryEngine, SubstitutionMode, TrainedModel,
 };
@@ -86,9 +88,10 @@ pub struct ThroughputOutcome {
     /// thread (best repeat).
     pub reference_encode_qps: f64,
     /// Trusted-query observations per second of
-    /// [`RecoveryEngine::observe`] on the attacked model (best repeat).
+    /// [`RecoveryEngine::observe`] on the attacked model (median round).
     pub repair_qps: f64,
-    /// The same rate for [`RecoveryEngine::observe_reference`].
+    /// The same rate for [`RecoveryEngine::observe_reference`], timed in
+    /// the same rounds.
     pub reference_repair_qps: f64,
     /// One row per thread count, in sweep order.
     pub rows: Vec<ThroughputRow>,
@@ -174,29 +177,48 @@ fn assert_repair_bit_exact(
     assert!(fast_model == reference_model, "repaired model bits diverge");
 }
 
-/// Trusted-query observations per second of one pass of `observe` over
-/// `queries` (best of `repeats`). Every pass starts from a copy of `model`
-/// and a fresh engine, made outside the timed span.
-fn repair_rate(
+/// Trusted-query observations per second of [`RecoveryEngine::observe`]
+/// and of [`RecoveryEngine::observe_reference`] over `queries`, as the
+/// median of `rounds` per-round rates (the upper middle for an even
+/// count). Every round times one pass of each, back to back, and the path
+/// that goes first alternates between rounds, so both medians are drawn
+/// from the same span of wall time. Every pass starts from a copy of
+/// `model` and a fresh engine, made outside the timed span.
+fn repair_rates(
     model: &TrainedModel,
     queries: &[BinaryHypervector],
     config: &RecoveryConfig,
     beta: f64,
-    repeats: usize,
-    observe: impl Fn(&mut RecoveryEngine, &mut TrainedModel, &BinaryHypervector) -> Observation,
-) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
+    rounds: usize,
+) -> (f64, f64) {
+    let pass = |oracle: bool| {
         let mut model = model.clone();
         let mut engine = RecoveryEngine::new(config.clone(), beta);
         let start = Instant::now();
         for query in queries {
-            observe(&mut engine, &mut model, query);
+            if oracle {
+                engine.observe_reference(&mut model, query);
+            } else {
+                engine.observe(&mut model, query);
+            }
         }
-        let seconds = start.elapsed().as_secs_f64();
-        best = best.max(engine.stats().samples_trusted as f64 / seconds);
+        engine.stats().samples_trusted as f64 / start.elapsed().as_secs_f64()
+    };
+    let (mut fast, mut oracle) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            fast.push(pass(false));
+            oracle.push(pass(true));
+        } else {
+            oracle.push(pass(true));
+            fast.push(pass(false));
+        }
     }
-    best
+    let median = |rates: &mut Vec<f64>| {
+        rates.sort_by(f64::total_cmp);
+        rates[rates.len() / 2]
+    };
+    (median(&mut fast), median(&mut oracle))
 }
 
 /// Runs the thread sweep on one dataset, serving `queries` raw rows per
@@ -249,12 +271,8 @@ pub fn run(
     let beta = workload.config.softmax_beta;
     let stream = &workload.test_encoded;
     assert_repair_bit_exact(&attacked, stream, &repair, beta);
-    let repair_qps = repair_rate(&attacked, stream, &repair, beta, repeats, |e, m, q| {
-        e.observe(m, q)
-    });
-    let reference_repair_qps = repair_rate(&attacked, stream, &repair, beta, repeats, |e, m, q| {
-        e.observe_reference(m, q)
-    });
+    let (repair_qps, reference_repair_qps) =
+        repair_rates(&attacked, stream, &repair, beta, repeats);
 
     let mut engine = BatchEngine::from_env();
     let mut out_rows = Vec::with_capacity(threads.len());

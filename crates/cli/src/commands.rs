@@ -1032,7 +1032,9 @@ point (m = 20, S = 0.5, majority saturation 3, T_C = 0.45):
     reference_repair_qps   the same for the per-bit oracle observe_reference
 
 Twin engines first run the query stream through both and must agree to
-the bit. Emits one JSON object to stdout.
+the bit. The two are then timed interleaved, one pass of each per round,
+and each rate is the median over --repeats rounds. Emits one JSON object
+to stdout.
 
 OPTIONS:
     --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)

@@ -459,40 +459,10 @@ impl BatchEngine {
         self.map_shards(batch, |shard| encoder.encode_batch_refs(shard))
     }
 
-    /// Fused encode→predict over arbitrary inputs: each worker maps an
-    /// input through `encode` and immediately scores it against the packed
-    /// model, so no batch-wide `Vec<BinaryHypervector>` is ever
-    /// materialized. Bit-identical to `model.predict(&encode(input))` per
-    /// input, in input order.
-    ///
-    /// `encode` must be pure (same input → same hypervector); every encoder
-    /// in this crate is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `encode` produces a dimension differing from the model's.
-    pub fn predict_fused<Q, F>(&self, model: &TrainedModel, inputs: &[Q], encode: F) -> Vec<usize>
-    where
-        Q: Sync,
-        F: Fn(&Q) -> BinaryHypervector + Sync,
-    {
-        let packed = model.packed();
-        self.map_shards(inputs, |shard| {
-            let mut distances = Vec::new();
-            shard
-                .iter()
-                .map(|input| {
-                    let query = encode(input);
-                    packed.hamming_all_into(&query, &mut distances);
-                    argmin_first(&distances)
-                })
-                .collect()
-        })
-    }
-
-    /// Fused raw-features → prediction ([`BatchEngine::predict_fused`] with
-    /// an [`Encoder`]). Bit-identical to `model.predict(&encoder.encode(row))`
-    /// per row.
+    /// Fused raw-features → prediction: each worker encodes a row and
+    /// immediately scores it against the packed model, so no batch-wide
+    /// `Vec<BinaryHypervector>` is ever materialized. Bit-identical to
+    /// `model.predict(&encoder.encode(row))` per row, in row order.
     ///
     /// # Panics
     ///
@@ -504,7 +474,18 @@ impl BatchEngine {
         model: &TrainedModel,
         batch: &[&[f64]],
     ) -> Vec<usize> {
-        self.predict_fused(model, batch, |row| encoder.encode(row))
+        let packed = model.packed();
+        self.map_shards(batch, |shard| {
+            let mut distances = Vec::new();
+            shard
+                .iter()
+                .map(|row| {
+                    let query = encoder.encode(row);
+                    packed.hamming_all_into(&query, &mut distances);
+                    argmin_first(&distances)
+                })
+                .collect()
+        })
     }
 
     /// Fused raw-features → prediction + confidence, the raw-features

@@ -31,13 +31,6 @@ use crate::config::HdcConfig;
 use hypervector::random::HypervectorSampler;
 use hypervector::{BinaryHypervector, BundleAccumulator, CarrySaveMajority, PackedBits};
 
-/// Quantizes a value in `[0, 1]` into one of `steps` bins, clamping
-/// out-of-range values: the record encoder's level index and the stream
-/// classifiers' symbol.
-pub(crate) fn quantize(value: f64, steps: usize) -> usize {
-    ((value.clamp(0.0, 1.0) * steps as f64) as usize).min(steps - 1)
-}
-
 /// A mapping from raw features in `[0, 1]^n` to binary hypervectors.
 ///
 /// Implementations must be deterministic: the same features always produce
@@ -109,7 +102,11 @@ impl RecordEncoder {
         let mut sampler = HypervectorSampler::seed_from(config.seed);
         let bases = sampler.base_set(features, config.dimension);
         let levels = sampler.level_set(config.levels, config.dimension, config.level_correlation);
-        Self::assemble(bases, levels, config.dimension)
+        Self {
+            bases,
+            levels,
+            dim: config.dimension,
+        }
     }
 
     /// Builds the encoder with the classic *linear* (thermometer) level
@@ -128,17 +125,11 @@ impl RecordEncoder {
         let mut sampler = HypervectorSampler::seed_from(config.seed);
         let bases = sampler.base_set(features, config.dimension);
         let levels = sampler.level_set_linear(config.levels, config.dimension);
-        Self::assemble(bases, levels, config.dimension)
-    }
-
-    /// An encoder over explicit codebooks: one base per input position and
-    /// one level per quantization step, all of dimension `dim`.
-    pub(crate) fn assemble(
-        bases: Vec<BinaryHypervector>,
-        levels: Vec<BinaryHypervector>,
-        dim: usize,
-    ) -> Self {
-        Self { bases, levels, dim }
+        Self {
+            bases,
+            levels,
+            dim: config.dimension,
+        }
     }
 
     /// The scalar reference encoding: per-feature bind into a
@@ -170,9 +161,11 @@ impl RecordEncoder {
         );
     }
 
-    /// Quantizes a normalized feature into a level index.
+    /// Quantizes a normalized feature into a level index, clamping
+    /// out-of-range values.
     fn level_index(&self, value: f64) -> usize {
-        quantize(value, self.levels.len())
+        let steps = self.levels.len();
+        ((value.clamp(0.0, 1.0) * steps as f64) as usize).min(steps - 1)
     }
 
     /// The level codebook (exposed for diagnostics and tests).
@@ -353,6 +346,8 @@ mod tests {
         let enc = RecordEncoder::new(&config(512), 1);
         assert_eq!(enc.level_index(0.0), 0);
         assert_eq!(enc.level_index(1.0), enc.level_codebook().len() - 1);
+        assert_eq!(enc.level_index(-0.5), 0);
+        assert_eq!(enc.level_index(2.0), enc.level_codebook().len() - 1);
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub mod metrics;
 pub mod model;
 pub mod persist;
 pub mod recovery;
-pub mod stream;
 pub mod supervisor;
 pub mod train;
 
@@ -98,5 +97,4 @@ pub use metrics::{accuracy, quality_loss, ConfusionMatrix};
 pub use model::{IntModel, TrainedModel};
 pub use pipeline::HdcClassifier;
 pub use recovery::{RecoveryEngine, RecoveryStats};
-pub use stream::{MultichannelStreamClassifier, StreamClassifier};
 pub use supervisor::{run_soak, BatchReport, ResilienceSupervisor, SoakReport, SoakStep};

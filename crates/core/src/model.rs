@@ -102,9 +102,8 @@ impl TrainedModel {
     }
 
     /// [`TrainedModel::train`] with an explicit batch engine — the entry
-    /// point for callers that already hold an engine (the pipeline and
-    /// stream classifiers) and for differential tests pinning thread
-    /// counts.
+    /// point for callers that already hold an engine (the pipeline) and
+    /// for differential tests pinning thread counts.
     ///
     /// # Panics
     ///

@@ -4,12 +4,12 @@
 //! trained models, fused batch serving (down to `f64::to_bits` on every
 //! confidence), and the resilience supervisor's raw-serving loop — across
 //! thread counts and non-multiple-of-64 dimensions. A golden hash pins the
-//! record and multichannel stream encodings to their recorded bits.
+//! record encodings to their recorded bits.
 
 use robusthd::supervisor::ResilienceSupervisor;
 use robusthd::{
-    BatchConfig, BatchEngine, Encoder, HdcConfig, MultichannelStreamClassifier, RecordEncoder,
-    RecoveryConfig, SubstitutionMode, SupervisorConfig, TrainedModel,
+    BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, RecoveryConfig, SubstitutionMode,
+    SupervisorConfig, TrainedModel,
 };
 
 /// Deterministic pseudo-random feature rows in `[0, 1]`, including exact
@@ -250,12 +250,12 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// Golden encodings: the record encoder under both level chains and the
-/// multichannel stream encoder, at dimensions straddling the word and the
-/// 8-word block boundaries, must reproduce the recorded output bits. The
-/// differential tests pin the encoder to its oracle; this constant also
-/// pins the multichannel path, which has no oracle of its own. Regenerate
-/// it only for a change that is meant to alter encodings, and say so.
+/// Golden encodings: the record encoder under both level chains, at
+/// dimensions straddling the word and the 8-word block boundaries, must
+/// reproduce the recorded output bits. The differential tests pin the fast
+/// encoder to its oracle; this constant pins the oracle itself, so a change
+/// that moves both together still fails here. Regenerate it only for a
+/// change that is meant to alter encodings, and say so.
 #[test]
 fn encoder_outputs_match_the_golden_hash() {
     let mut words: Vec<u64> = Vec::new();
@@ -268,24 +268,8 @@ fn encoder_outputs_match_the_golden_hash() {
             }
         }
     }
-    for &dim in &[63usize, 130, 511, 513, 1000] {
-        for &(channels, alphabet, ngram) in &[(1usize, 4usize, 1usize), (3, 8, 2), (6, 16, 3)] {
-            // Seeded streams of time steps; values out of [0, 1] clamp.
-            let streams = |count: usize, steps: usize, salt: u64| -> Vec<(Vec<Vec<f64>>, usize)> {
-                (0..count)
-                    .map(|i| (feature_rows(steps, channels, salt + i as u64), i % 3))
-                    .collect()
-            };
-            let train = streams(9, 12, dim as u64);
-            let classifier =
-                MultichannelStreamClassifier::fit(&config(dim, 17), alphabet, ngram, &train);
-            for (stream, _) in streams(4, 10, dim as u64 ^ 0x77) {
-                words.extend_from_slice(classifier.encode(&stream).bits().words());
-            }
-        }
-    }
     let hash = fnv1a(words.iter().flat_map(|w| w.to_le_bytes()));
     assert_eq!(hash, GOLDEN_ENCODER_HASH);
 }
 
-const GOLDEN_ENCODER_HASH: u64 = 9_793_379_832_269_894_032;
+const GOLDEN_ENCODER_HASH: u64 = 3_593_072_394_849_749_423;

@@ -10,14 +10,12 @@ use std::fmt;
 /// single bit carries negligible information and bit flips degrade similarity
 /// gracefully instead of exploding values the way fixed-point weights do.
 ///
-/// The three HDC operators are provided:
+/// The two HDC operators the record encoder needs are provided:
 ///
 /// * **binding** ([`BinaryHypervector::bind`]) — element-wise XOR; associates
 ///   two vectors into one dissimilar to both; self-inverse.
 /// * **bundling** — superposition by majority, via
 ///   [`crate::BundleAccumulator`].
-/// * **permutation** ([`BinaryHypervector::permute`]) — cyclic rotation;
-///   encodes order.
 ///
 /// # Example
 ///
@@ -126,15 +124,6 @@ impl BinaryHypervector {
         Ok(self.bind(other))
     }
 
-    /// In-place binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn bind_assign(&mut self, other: &Self) {
-        self.bits.xor_assign(&other.bits);
-    }
-
     /// Binding into a caller-provided scratch vector: `out = self ⊕ other`
     /// with no allocation. The scalar reference encoder reuses one scratch
     /// vector per encoding instead of allocating a fresh bind per feature.
@@ -144,14 +133,6 @@ impl BinaryHypervector {
     /// Panics if the three dimensions differ.
     pub fn bind_into(&self, other: &Self, out: &mut Self) {
         out.bits.xor_from(&self.bits, &other.bits);
-    }
-
-    /// Permutation: cyclic rotation by `shift` positions. Encodes sequence
-    /// order; a permuted vector is nearly orthogonal to the original.
-    pub fn permute(&self, shift: usize) -> Self {
-        let mut out = self.clone();
-        out.bits.rotate_left_bits(shift);
-        out
     }
 
     /// Hamming distance to `other` (number of differing components).
@@ -289,19 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_is_bijective_and_decorrelates() {
-        let mut sampler = HypervectorSampler::seed_from(4);
-        let a = sampler.binary(4096);
-        let p = a.permute(1);
-        assert_eq!(p.count_ones(), a.count_ones());
-        // Permutation by one decorrelates a random vector.
-        let d = a.hamming_distance(&p);
-        assert!(d > 1500, "distance after permute too small: {d}");
-        // Inverse rotation restores.
-        assert_eq!(p.permute(4095), a);
-    }
-
-    #[test]
     fn similarity_bounds() {
         let a = BinaryHypervector::zeros(100);
         let b = BinaryHypervector::ones(100);
@@ -341,15 +309,5 @@ mod tests {
         let hv = sampler.binary(200);
         let copy: BinaryHypervector = hv.iter().collect();
         assert_eq!(copy, hv);
-    }
-
-    #[test]
-    fn bind_assign_matches_bind() {
-        let mut sampler = HypervectorSampler::seed_from(7);
-        let a = sampler.binary(128);
-        let b = sampler.binary(128);
-        let mut c = a.clone();
-        c.bind_assign(&b);
-        assert_eq!(c, a.bind(&b));
     }
 }

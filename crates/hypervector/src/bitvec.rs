@@ -311,25 +311,6 @@ impl PackedBits {
         out
     }
 
-    /// Rotates the whole buffer left by `shift` bit positions (bit `i` moves
-    /// to `(i + shift) % len`).
-    pub fn rotate_left_bits(&mut self, shift: usize) {
-        if self.len == 0 {
-            return;
-        }
-        let shift = shift % self.len;
-        if shift == 0 {
-            return;
-        }
-        let mut rotated = Self::zeros(self.len);
-        for i in 0..self.len {
-            if self.get(i) {
-                rotated.set((i + shift) % self.len, true);
-            }
-        }
-        *self = rotated;
-    }
-
     /// Borrows the backing words.
     ///
     /// Trailing bits of the final word beyond `len()` are always zero.
@@ -498,19 +479,6 @@ mod tests {
         assert_eq!(dst.count_ones(), 20);
         assert!(dst.get(20) && dst.get(39));
         assert!(!dst.get(19) && !dst.get(40));
-    }
-
-    #[test]
-    fn rotate_left_is_cyclic() {
-        let mut bits = PackedBits::zeros(100);
-        bits.set(99, true);
-        bits.rotate_left_bits(1);
-        assert!(bits.get(0));
-        assert_eq!(bits.count_ones(), 1);
-        // Rotating by len is the identity.
-        let orig = bits.clone();
-        bits.rotate_left_bits(100);
-        assert_eq!(bits, orig);
     }
 
     #[test]

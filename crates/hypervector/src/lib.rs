@@ -6,7 +6,7 @@
 //! * [`PackedBits`] — a dense, bit-addressable buffer backed by `u64` words,
 //!   with constant-time word access so fault injectors can flip raw bits.
 //! * [`BinaryHypervector`] — a `{0,1}^D` hypervector supporting binding
-//!   (XOR), permutation (rotation), and Hamming-distance similarity.
+//!   (XOR) and Hamming-distance similarity.
 //! * [`IntHypervector`] — a low-precision integer hypervector used for the
 //!   multi-bit model-precision study (Table 1 of the paper).
 //! * [`BundleAccumulator`] — element-wise counters used to bundle (add) many
@@ -14,10 +14,6 @@
 //! * [`CarrySaveMajority`] ([`bitslice`]) — the word-parallel bit-sliced
 //!   majority kernel behind the encoding fast path, bit-identical to the
 //!   accumulator's threshold including its tie-break.
-//! * [`ItemMemory`] — the associative cleanup memory of classic HDC
-//!   systems.
-//! * [`SequenceEncoder`] — order-sensitive n-gram encoding of symbol
-//!   streams.
 //! * [`random`] — seeded generators for base, level, and orthogonal
 //!   hypervector sets.
 //! * [`similarity`] — Hamming / normalized / dot / cosine similarity kernels,
@@ -56,10 +52,8 @@ pub mod bitslice;
 mod bitvec;
 pub mod cast;
 mod error;
-mod itemmemory;
 mod multibit;
 pub mod random;
-mod sequence;
 pub mod similarity;
 pub mod tier;
 
@@ -68,8 +62,6 @@ pub use binary::BinaryHypervector;
 pub use bitslice::CarrySaveMajority;
 pub use bitvec::PackedBits;
 pub use error::DimensionMismatchError;
-pub use itemmemory::ItemMemory;
 pub use multibit::{IntHypervector, Precision};
-pub use sequence::SequenceEncoder;
 pub use similarity::PackedClasses;
 pub use tier::KernelTier;

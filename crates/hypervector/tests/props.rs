@@ -2,8 +2,7 @@
 
 use hypervector::random::HypervectorSampler;
 use hypervector::{
-    BinaryHypervector, BundleAccumulator, IntHypervector, ItemMemory, PackedBits, PackedClasses,
-    Precision, SequenceEncoder,
+    BinaryHypervector, BundleAccumulator, IntHypervector, PackedBits, PackedClasses, Precision,
 };
 use proptest::prelude::*;
 
@@ -12,21 +11,6 @@ fn hv(bits: &[bool]) -> BinaryHypervector {
 }
 
 proptest! {
-    /// Rotation is a bijection: rotating by `s` then by `dim - s` is the
-    /// identity, and rotation preserves popcount.
-    #[test]
-    fn permute_is_bijective(
-        bits in prop::collection::vec(any::<bool>(), 1..200),
-        shift in 0usize..400,
-    ) {
-        let v = hv(&bits);
-        let dim = v.dim();
-        let rotated = v.permute(shift);
-        prop_assert_eq!(rotated.count_ones(), v.count_ones());
-        let back = rotated.permute(dim - (shift % dim));
-        prop_assert_eq!(back, v);
-    }
-
     /// Range Hamming distances over a partition sum to the total distance,
     /// for arbitrary partition points.
     #[test]
@@ -73,43 +57,6 @@ proptest! {
         }
         prop_assert!(acc.counts().iter().all(|&c| c == 0));
         prop_assert_eq!(acc.added(), 0);
-    }
-
-    /// An exact stored item always cleans up to itself with similarity 1.
-    #[test]
-    fn item_memory_exact_cleanup(count in 1usize..6, probe in 0usize..6) {
-        let mut sampler = HypervectorSampler::seed_from(5);
-        let mut memory = ItemMemory::new(512);
-        let mut items = Vec::new();
-        for i in 0..count {
-            let item = sampler.binary(512);
-            memory.insert(format!("i{i}"), item.clone());
-            items.push(item);
-        }
-        let probe = probe % count;
-        let (name, sim) = memory.cleanup(&items[probe]).expect("non-empty");
-        prop_assert_eq!(name, format!("i{probe}"));
-        prop_assert!((sim - 1.0).abs() < 1e-12);
-    }
-
-    /// Sequence encodings of identical streams agree; appending a symbol
-    /// changes at most the contribution of one extra n-gram.
-    #[test]
-    fn sequence_encoding_is_stable(
-        stream in prop::collection::vec(0usize..4, 4..24),
-        extra in 0usize..4,
-    ) {
-        let mut sampler = HypervectorSampler::seed_from(6);
-        let encoder = SequenceEncoder::new(sampler.base_set(4, 1024), 3);
-        let base = encoder.encode(&stream);
-        prop_assert_eq!(encoder.encode(&stream), base.clone());
-        let mut longer = stream.clone();
-        longer.push(extra);
-        // One extra n-gram over (len-2) existing ones cannot move the
-        // bundle by more than roughly one vote per dimension: similarity
-        // stays high for long streams.
-        let sim = base.similarity(&encoder.encode(&longer));
-        prop_assert!(sim > 0.6, "appending one symbol moved encoding too far: {}", sim);
     }
 
     /// Metamorphic: XOR-binding both operands with the same hypervector is
