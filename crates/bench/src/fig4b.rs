@@ -38,9 +38,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<SweepRow> {
     sweep_with_curves(&dram, &hdc, &dnn)
 }
 
-/// Sweep with caller-provided robustness curves (lets benches reuse
-/// measured curves).
-pub fn sweep_with_curves(
+/// The sweep over already-measured robustness curves.
+fn sweep_with_curves(
     dram: &DramModel,
     hdc: &RobustnessCurve,
     dnn: &RobustnessCurve,

@@ -4,8 +4,10 @@
 //! Each experiment module builds its workload from the synthetic dataset
 //! generators, trains the models involved, applies the paper's fault
 //! models, and returns typed result rows; the `src/bin` targets print them
-//! in the layout of the paper's tables, and the Criterion benches in
-//! `benches/` time the underlying kernels.
+//! in the layout of the paper's tables. The `robusthd` CLI's `throughput`,
+//! `trainbench`, `kernelbench` and `soak` subcommands call the same
+//! modules, and its `servebench` and `fleetbench` subcommands drive the
+//! serving harnesses in `robusthd-serve` directly.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -21,8 +23,6 @@
 //! | [`trainbench`] | Extension — bit-sliced training throughput (bundle/retrain) across thread counts |
 //! | [`kernelbench`] | Extension — execution-tier kernel throughput (reference vs wide) per kernel family |
 //! | [`advsim`] | Extension — adversarial input-space attacks, disagreement hunting, joint soak |
-//! | [`serve`]  | Extension — coalesced vs sequential `robusthdd` daemon serving on loopback |
-//! | [`fleetbench`] | Extension — multi-tenant fleet serving under a memory budget (LRU, LogHD, routing) |
 //!
 //! Experiments default to a laptop-scale subsample of the paper's datasets
 //! (exact feature/class geometry, reduced split sizes); see
@@ -37,10 +37,8 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4a;
 pub mod fig4b;
-pub mod fleetbench;
 pub mod format;
 pub mod kernelbench;
-pub mod serve;
 pub mod soak;
 pub mod table1;
 pub mod table3;

@@ -53,7 +53,7 @@ pub fn run(scale: Scale, dim: usize, seed: u64, runs: u64) -> Vec<DatasetResult>
 }
 
 /// Runs the with/without-recovery comparison for one dataset.
-pub fn run_dataset(
+fn run_dataset(
     spec: &DatasetSpec,
     scale: Scale,
     dim: usize,

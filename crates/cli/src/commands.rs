@@ -2214,6 +2214,98 @@ mod tests {
     }
 
     #[test]
+    fn servebench_is_bit_exact_and_emits_the_keys_the_serve_gate_reads() {
+        let report = servebench(&argv(&[
+            "--dataset",
+            "pecan",
+            "--dim",
+            "512",
+            "--concurrency",
+            "4",
+            "--requests",
+            "4",
+            "--canaries",
+            "16",
+            "--queries",
+            "32",
+        ]))
+        .expect("servebench succeeds");
+        assert!(report.contains("\"bit_exact\":true"), "report: {report}");
+        assert!(report.contains("\"p99_ms\""), "report: {report}");
+        let json = robusthd_serve::json::parse(&report).expect("valid JSON");
+        assert_eq!(json.get("concurrency").and_then(Json::as_usize), Some(4));
+        let speedup = json.get("speedup").and_then(Json::as_f64);
+        assert!(speedup.is_some_and(|s| s > 0.0), "report: {report}");
+        for phase in ["sequential", "coalesced"] {
+            let qps = json.get(phase).and_then(|p| p.get("qps"));
+            assert!(
+                qps.and_then(Json::as_f64).is_some_and(|q| q > 0.0),
+                "{phase} qps missing: {report}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleetbench_defaults_meet_the_acceptance_floor() {
+        // `robusthd fleetbench` with no options is the acceptance run: it
+        // must serve >= 100 models, and over-subscribe the budget at least
+        // two to one so eviction churn is structural, not incidental.
+        let opts = robusthd_serve::FleetBenchOptions::default();
+        assert!(opts.models >= 100, "{opts:?}");
+        assert!(opts.budget_models * 2 <= opts.models, "{opts:?}");
+    }
+
+    #[test]
+    fn fleetbench_is_bit_exact_and_emits_the_keys_the_fleet_gate_reads() {
+        let report = fleetbench(&argv(&[
+            "--models",
+            "24",
+            "--cohorts",
+            "4",
+            "--dim",
+            "512",
+            "--features",
+            "8",
+            "--classes",
+            "4",
+            "--rows",
+            "4",
+            "--budget-models",
+            "4",
+            "--clients",
+            "4",
+            "--requests",
+            "8",
+        ]))
+        .expect("fleetbench succeeds");
+        let json = robusthd_serve::json::parse(&report).expect("valid JSON");
+        assert_eq!(json.get("bit_exact").and_then(Json::as_bool), Some(true));
+        assert!(
+            json.get("bit_exact_evictions")
+                .and_then(Json::as_usize)
+                .is_some_and(|n| n > 0),
+            "report: {report}"
+        );
+        assert_eq!(json.get("models").and_then(Json::as_usize), Some(24));
+        let cap = json.get("capacity").expect("capacity object");
+        let count = |key: &str| cap.get(key).and_then(Json::as_usize);
+        assert_eq!(cap.get("budget_ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(count("errors"), Some(0), "report: {report}");
+        assert_eq!(count("overloaded"), Some(0), "report: {report}");
+        assert_eq!(count("results"), count("sent"), "report: {report}");
+        for key in ["evictions", "rehydrations", "dedup_hits"] {
+            assert!(count(key).is_some_and(|n| n > 0), "{key}: {report}");
+        }
+        for key in ["resident_bytes", "budget_bytes"] {
+            assert!(count(key).is_some(), "{key} missing: {report}");
+        }
+        let loghd = json.get("loghd").expect("loghd object");
+        let ratio = loghd.get("compression_ratio").and_then(Json::as_f64);
+        assert!(ratio.is_some_and(|r| r > 1.0), "report: {report}");
+        assert!(loghd.get("delta").is_some(), "report: {report}");
+    }
+
+    #[test]
     fn help_flags_short_circuit() {
         for cmd in [
             generate,
@@ -2227,6 +2319,8 @@ mod tests {
             throughput,
             trainbench,
             kernelbench,
+            servebench,
+            fleetbench,
         ] {
             let text = cmd(&argv(&["--help"])).expect("help is ok");
             assert!(text.contains("OPTIONS"));

@@ -90,10 +90,9 @@ pub(crate) fn chunk_is_faulty(predicted: usize, rival_best: usize, margin_bits: 
 /// This is the straightforward form, kept as the oracle of the
 /// [`crate::recovery::RecoveryEngine`]'s fused pass
 /// (`RecoveryEngine::observe_reference` runs it): every call splits each
-/// class with the fused
-/// [`chunked_hamming`](hypervector::similarity::chunked_hamming) kernel (one
-/// XOR pass per class instead of one per class×chunk) and works out each
-/// chunk's margin again. The decision itself ([`chunk_is_faulty`]) is the
+/// class with the fused [`chunked_hamming`] kernel (one XOR pass per class
+/// instead of one per class×chunk) and works out each chunk's margin
+/// again. The decision itself (the crate-private `chunk_is_faulty`) is the
 /// one copy of the rule both paths share.
 ///
 /// # Panics
@@ -416,9 +415,9 @@ impl BatchEngine {
 
     /// Hamming distance of every query to each packed class row in `rows`,
     /// query-major: query 0's distances in `rows` order, then query 1's,
-    /// and so on. Each distance is the active tier's
-    /// [`hamming_words`](hypervector::tier::hamming_words) over the row and
-    /// the query words, exactly the integer the full scoring pass computes.
+    /// and so on. Each distance is the active tier's [`hamming_words`] over
+    /// the row and the query words, exactly the integer the full scoring
+    /// pass computes.
     /// Queries are sharded across the worker threads with by-index
     /// placement, so the result is the same at every tuning.
     ///

@@ -167,16 +167,6 @@ impl RecordEncoder {
         let steps = self.levels.len();
         ((value.clamp(0.0, 1.0) * steps as f64) as usize).min(steps - 1)
     }
-
-    /// The level codebook (exposed for diagnostics and tests).
-    pub fn level_codebook(&self) -> &[BinaryHypervector] {
-        &self.levels
-    }
-
-    /// The per-feature base codebook.
-    pub fn base_codebook(&self) -> &[BinaryHypervector] {
-        &self.bases
-    }
 }
 
 impl Encoder for RecordEncoder {
@@ -345,9 +335,9 @@ mod tests {
     fn level_index_spans_codebook() {
         let enc = RecordEncoder::new(&config(512), 1);
         assert_eq!(enc.level_index(0.0), 0);
-        assert_eq!(enc.level_index(1.0), enc.level_codebook().len() - 1);
+        assert_eq!(enc.level_index(1.0), enc.levels.len() - 1);
         assert_eq!(enc.level_index(-0.5), 0);
-        assert_eq!(enc.level_index(2.0), enc.level_codebook().len() - 1);
+        assert_eq!(enc.level_index(2.0), enc.levels.len() - 1);
     }
 
     #[test]
@@ -441,7 +431,7 @@ mod tests {
         let enc = RecordEncoder::new(&config(1000), 5);
         assert_eq!(enc.dim(), 1000);
         assert_eq!(enc.features(), 5);
-        assert_eq!(enc.base_codebook().len(), 5);
-        assert!(enc.base_codebook().iter().all(|b| b.dim() == 1000));
+        assert_eq!(enc.bases.len(), 5);
+        assert!(enc.bases.iter().all(|b| b.dim() == 1000));
     }
 }

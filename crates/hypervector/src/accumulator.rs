@@ -83,21 +83,6 @@ impl BundleAccumulator {
         self.added = self.added.saturating_sub(1);
     }
 
-    /// Adds `weight` copies of `hv` (weighted bundling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn add_weighted(&mut self, hv: &BinaryHypervector, weight: i64) {
-        assert_eq!(self.dim(), hv.dim(), "dimension mismatch in add_weighted");
-        self.apply_bipolar(hv, weight);
-        if weight >= 0 {
-            self.added += weight as u64;
-        } else {
-            self.added = self.added.saturating_sub((-weight) as u64);
-        }
-    }
-
     /// Bundles a whole batch of hypervectors in one bit-sliced pass,
     /// with counts identical to calling [`BundleAccumulator::add`] once
     /// per vector (in any order — bundling is integer addition).
@@ -317,23 +302,6 @@ mod tests {
         acc.add(&a);
         acc.add(&b);
         assert_eq!(acc.to_binary(), acc.to_binary());
-    }
-
-    #[test]
-    fn weighted_add_matches_repeated_add() {
-        let mut s = HypervectorSampler::seed_from(5);
-        let hv = s.binary(128);
-        let other = s.binary(128);
-        let mut acc1 = BundleAccumulator::new(128);
-        let mut acc2 = BundleAccumulator::new(128);
-        acc1.add_weighted(&hv, 3);
-        acc1.add(&other);
-        for _ in 0..3 {
-            acc2.add(&hv);
-        }
-        acc2.add(&other);
-        assert_eq!(acc1.counts(), acc2.counts());
-        assert_eq!(acc1.added(), acc2.added());
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl BinaryHypervector {
     pub fn bits_mut(&mut self) -> &mut PackedBits {
         &mut self.bits
     }
-
-    /// Consumes the hypervector, returning its bit buffer.
-    pub fn into_bits(self) -> PackedBits {
-        self.bits
-    }
 }
 
 impl fmt::Debug for BinaryHypervector {

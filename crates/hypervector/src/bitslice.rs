@@ -20,7 +20,8 @@
 //! counts: a word-parallel magnitude comparison against `F / 2` yields
 //! `count > F/2` and `count == F/2` masks per word, and the tie mask is
 //! resolved by index parity — reproducing
-//! [`BundleAccumulator::to_binary`]'s deterministic tie-break bit for bit.
+//! [`BundleAccumulator::to_binary`](crate::BundleAccumulator::to_binary)'s
+//! deterministic tie-break bit for bit.
 //! The property suite (`tests/bitslice_props.rs`) proves the equivalence
 //! across dimensions, feature counts, and tie patterns.
 //!

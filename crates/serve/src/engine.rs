@@ -250,11 +250,6 @@ impl FleetEngine {
         &self.registry
     }
 
-    /// Mutable access to the registry (operator controls).
-    pub fn registry_mut(&mut self) -> &mut ModelRegistry {
-        &mut self.registry
-    }
-
     /// Unwraps the registry (post-shutdown state inspection).
     pub fn into_registry(self) -> ModelRegistry {
         self.registry
