@@ -568,6 +568,18 @@ impl ModelRegistry {
         self.tenants.get_mut(id).and_then(|t| t.supervisor.as_mut())
     }
 
+    /// Supervision summary over every calibrated tenant: the worst
+    /// escalation level and the total quarantined class count. One pass
+    /// over the registry, no allocation.
+    pub fn supervision_summary(&self) -> (usize, usize) {
+        self.tenants
+            .values()
+            .filter_map(|t| t.supervisor.as_ref())
+            .fold((0, 0), |(level, quarantined), s| {
+                (level.max(s.level()), quarantined + s.quarantined_count())
+            })
+    }
+
     /// Bytes of hydrated hot state currently held.
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
@@ -1147,9 +1159,14 @@ mod tests {
         assert_eq!(codeword_bits(100), 7, "100 classes fit in 7-bit codewords");
     }
 
-    #[test]
-    fn supervised_serving_isolates_tenants() {
-        let (config, encoder, model, rows) = small_pipeline(8);
+    /// A fleet of `ids`, each registered from `small_pipeline(seed)`'s
+    /// model and calibrated on its rows; returns the fleet and the rows.
+    fn calibrated_fleet(
+        seed: u64,
+        ids: &[&str],
+        fleet_config: FleetConfig,
+    ) -> (ModelRegistry, Vec<Vec<f64>>) {
+        let (config, encoder, model, rows) = small_pipeline(seed);
         let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let canaries = encoder.encode_batch_refs(&refs);
         let recovery = RecoveryConfig::builder()
@@ -1161,8 +1178,8 @@ mod tests {
             .window(8)
             .build()
             .expect("valid policy");
-        let mut fleet = ModelRegistry::new(FleetConfig::default());
-        for id in ["a", "b"] {
+        let mut fleet = ModelRegistry::new(fleet_config);
+        for &id in ids {
             fleet
                 .register_trained(id, &config, 6, &model)
                 .expect("register");
@@ -1170,6 +1187,12 @@ mod tests {
                 .calibrate(id, recovery.clone(), policy.clone(), &canaries)
                 .expect("calibrate");
         }
+        (fleet, rows)
+    }
+
+    #[test]
+    fn supervised_serving_isolates_tenants() {
+        let (mut fleet, rows) = calibrated_fleet(8, &["a", "b"], FleetConfig::default());
         // Quarantine class 0 on tenant a only; b must be unaffected.
         fleet
             .supervisor_mut("a")
@@ -1197,6 +1220,72 @@ mod tests {
             fleet.serve_supervised(&[("ghost", rows[0].as_slice())]),
             Err(FleetError::UnknownModel(_))
         ));
+    }
+
+    #[test]
+    fn rehydration_reverifies_the_cold_image() {
+        // The budget fits one hydrated model (384 bytes), so calibrating
+        // "b" evicts "a" back to its image.
+        let fleet_config = FleetConfig::builder()
+            .budget_bytes(500)
+            .build()
+            .expect("valid");
+        let (mut fleet, rows) = calibrated_fleet(10, &["a", "b"], fleet_config);
+        assert!(!fleet.is_resident("a"));
+        let tenant = fleet.tenants.get_mut("a").expect("registered");
+        let mut image = tenant.image.as_ref().clone();
+        let middle = image.len() / 2;
+        image[middle] ^= 0x08;
+        tenant.image = Arc::new(image);
+        let hydrations = fleet.stats().hydrations;
+        let err = fleet
+            .serve_supervised(&[("a", rows[0].as_slice())])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FleetError::Image(LoadModelError::ChecksumMismatch { .. })
+            ),
+            "expected a checksum mismatch, got {err}"
+        );
+        assert!(!fleet.is_resident("a"), "a corrupt image must not serve");
+        assert_eq!(fleet.stats().hydrations, hydrations);
+    }
+
+    #[test]
+    fn supervision_summary_is_the_worst_level_and_the_summed_quarantine() {
+        let (mut fleet, rows) = calibrated_fleet(11, &["a", "b", "c"], FleetConfig::default());
+        assert_eq!(fleet.supervision_summary(), (0, 0));
+        fleet
+            .supervisor_mut("a")
+            .expect("calibrated")
+            .set_quarantine(0, true);
+        let b = fleet.supervisor_mut("b").expect("calibrated");
+        b.set_quarantine(1, true);
+        b.set_quarantine(2, true);
+        // Replace two of c's class vectors with noise so its supervisor
+        // climbs the escalation ladder.
+        let mut sampler = hypervector::random::HypervectorSampler::seed_from(5);
+        let hot = fleet
+            .tenants
+            .get_mut("c")
+            .and_then(|t| t.hot.as_mut())
+            .expect("hot");
+        *hot.model.class_mut(1) = sampler.binary(512);
+        *hot.model.class_mut(2) = sampler.binary(512);
+        let stream: Vec<(&str, &[f64])> = rows.iter().map(|r| ("c", r.as_slice())).collect();
+        for _ in 0..8 {
+            fleet.serve_supervised(&stream).expect("serve");
+            if fleet.supervisor("c").expect("calibrated").level() > 0 {
+                break;
+            }
+        }
+        let c = fleet.supervisor("c").expect("calibrated");
+        assert!(c.level() > 0, "tenant c never escalated");
+        assert_eq!(
+            fleet.supervision_summary(),
+            (c.level(), 3 + c.quarantined_classes().len())
+        );
     }
 
     #[test]

@@ -155,31 +155,74 @@ fn encode_body(config: &HdcConfig, features: usize, model: &TrainedModel) -> Vec
     body
 }
 
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
-// audit:allow(panic): 8-bit table arithmetic: i < 256 and masked indices
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-16 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// bytewise table of the reflected IEEE polynomial, and `CRC_TABLES[k][b]`
+/// is the CRC register after byte `b` followed by `k` zero bytes. Built at
+/// compile time into one 16 KiB `static`.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+}
+
+/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
+///
+/// Slicing-by-16: each step folds 16 input bytes through the 16 tables of
+/// `CRC_TABLES` with independent lookups, and the last `len % 16` bytes
+/// go through the bytewise table. The value is the bytewise CRC's for
+/// every input.
+// audit:allow(panic): constant indices 0..16 into a 16-byte block; table indices are bytes or masked to 8 bits, and every table has 256 entries
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &byte in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -412,13 +455,9 @@ mod tests {
         let (config, features, model) = toy_pipeline();
         let mut clean = Vec::new();
         save_model(&mut clean, &config, features, &model).expect("save");
-        // Walk bit positions across the whole post-magic region — header,
-        // class words, and the checksum itself — at a stride that keeps the
-        // test fast while touching every byte class.
-        for bit in (0..(clean.len() - 4) * 8)
-            .step_by(97)
-            .chain([(clean.len() - 5) * 8])
-        {
+        // Every bit of the post-magic region: header, class words, and
+        // the checksum itself.
+        for bit in 0..(clean.len() - 4) * 8 {
             let mut corrupted = clean.clone();
             corrupted[4 + bit / 8] ^= 1 << (bit % 8);
             let err = load_model(corrupted.as_slice()).unwrap_err();
@@ -447,5 +486,51 @@ mod tests {
         // catalogue entry, plus the empty string).
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The CRC by its definition: one polynomial step per input bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0C5C_3200);
+        let buffer: Vec<u8> = (0..4096 + 16).map(|_| rng.random()).collect();
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        // Every length through five 16-byte blocks and their tails, at
+        // every start offset inside one buffer (unaligned slices).
+        for start in 0..16 {
+            for len in 0..=80 {
+                let bytes = &buffer[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        for _ in 0..64 {
+            let start = rng.random_range(0..16usize);
+            let len = rng.random_range(0..=4096usize);
+            let bytes = &buffer[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "start {start}, len {len}"
+            );
+        }
     }
 }

@@ -255,6 +255,11 @@ impl ResilienceSupervisor {
             .collect()
     }
 
+    /// Number of classes currently quarantined, without listing them.
+    pub fn quarantined_count(&self) -> usize {
+        self.quarantined.iter().filter(|&&q| q).count()
+    }
+
     /// The health monitor (e.g. for inspecting the baseline).
     pub fn monitor(&self) -> &HealthMonitor {
         &self.monitor

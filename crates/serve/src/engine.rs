@@ -194,13 +194,10 @@ pub trait DrainEngine: Send + 'static {
     /// order. Admission already validated routing and feature counts.
     fn serve_pending(&mut self, batch: &[PendingQuery]) -> Vec<QueryAnswer>;
 
-    /// Supervisor escalation level to report in `stats` (for a fleet, the
-    /// worst tenant's).
-    fn stats_level(&self) -> usize;
-
-    /// Quarantined class count to report in `stats` (for a fleet, summed
-    /// over tenants).
-    fn stats_quarantined(&self) -> usize;
+    /// Supervisor escalation level and quarantined class count to report
+    /// in `stats`, read once after every drained batch (for a fleet, the
+    /// worst tenant's level and the count summed over tenants).
+    fn stats_summary(&self) -> (usize, usize);
 }
 
 impl DrainEngine for ServeEngine {
@@ -215,12 +212,8 @@ impl DrainEngine for ServeEngine {
         self.serve(&rows)
     }
 
-    fn stats_level(&self) -> usize {
-        self.level()
-    }
-
-    fn stats_quarantined(&self) -> usize {
-        self.quarantined().len()
+    fn stats_summary(&self) -> (usize, usize) {
+        (self.level(), self.supervisor.quarantined_count())
     }
 }
 
@@ -301,22 +294,72 @@ impl DrainEngine for FleetEngine {
         }
     }
 
-    fn stats_level(&self) -> usize {
-        self.registry
-            .tenant_ids()
-            .into_iter()
-            .filter_map(|id| self.registry.supervisor(id))
-            .map(robusthd::supervisor::ResilienceSupervisor::level)
-            .max()
-            .unwrap_or(0)
+    fn stats_summary(&self) -> (usize, usize) {
+        self.registry.supervision_summary()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use robusthd::{FleetConfig, HdcConfig, RecoveryConfig, SupervisorConfig};
+
+    fn calibrated_fleet(ids: &[&str]) -> ModelRegistry {
+        let config = HdcConfig::builder()
+            .dimension(512)
+            .seed(3)
+            .build()
+            .expect("valid config");
+        let encoder = RecordEncoder::new(&config, 4);
+        let rows: Vec<Vec<f64>> = (0..12usize)
+            .map(|i| (0..4).map(|f| ((i * 5 + f) % 11) as f64 / 11.0).collect())
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let encoded = encoder.encode_batch_refs(&refs);
+        let labels: Vec<usize> = (0..12).map(|i| i % 3).collect();
+        let model = TrainedModel::train(&encoded, &labels, 3, &config);
+        let mut registry = ModelRegistry::new(FleetConfig::default());
+        for &id in ids {
+            registry
+                .register_trained(id, &config, 4, &model)
+                .expect("register");
+            registry
+                .calibrate(
+                    id,
+                    RecoveryConfig::default(),
+                    SupervisorConfig::default(),
+                    &encoded,
+                )
+                .expect("calibrate");
+        }
+        registry
     }
 
-    fn stats_quarantined(&self) -> usize {
-        self.registry
-            .tenant_ids()
-            .into_iter()
-            .filter_map(|id| self.registry.supervisor(id))
-            .map(|s| s.quarantined_classes().len())
-            .sum()
+    #[test]
+    fn fleet_stats_summary_is_the_worst_level_and_the_summed_quarantine() {
+        let mut registry = calibrated_fleet(&["a", "b", "c"]);
+        registry
+            .supervisor_mut("a")
+            .expect("calibrated")
+            .set_quarantine(0, true);
+        let b = registry.supervisor_mut("b").expect("calibrated");
+        b.set_quarantine(1, true);
+        b.set_quarantine(2, true);
+        let engine = FleetEngine::new(registry);
+        // The per-tenant reads the summary folds into one pass.
+        let registry = engine.registry();
+        let supervisors = || {
+            registry
+                .tenant_ids()
+                .into_iter()
+                .filter_map(|id| registry.supervisor(id))
+        };
+        let level = supervisors()
+            .map(ResilienceSupervisor::level)
+            .max()
+            .unwrap_or(0);
+        let quarantined: usize = supervisors().map(|s| s.quarantined_classes().len()).sum();
+        assert_eq!(quarantined, 3);
+        assert_eq!(engine.stats_summary(), (level, quarantined));
     }
 }

@@ -335,8 +335,7 @@ fn drain_loop<E: DrainEngine>(shared: &Arc<Shared>, mut engine: E) -> E {
         // is visible in the `errors` counter.
         let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let answers = engine.serve_pending(&batch);
-            let level = engine.stats_level();
-            let quarantined = engine.stats_quarantined();
+            let (level, quarantined) = engine.stats_summary();
             (answers, level, quarantined)
         }));
         let answers = match served {
