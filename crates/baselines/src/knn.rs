@@ -106,7 +106,7 @@ impl Knn {
     }
 
     /// Number of stored exemplars.
-    pub fn exemplar_count(&self) -> usize {
+    fn exemplar_count(&self) -> usize {
         self.labels.len()
     }
 

@@ -177,7 +177,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if the feature count differs from training.
-    pub fn logits(&self, features: &[f64]) -> Vec<f64> {
+    fn logits(&self, features: &[f64]) -> Vec<f64> {
         assert_eq!(
             features.len(),
             self.features,

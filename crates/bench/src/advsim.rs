@@ -1,7 +1,7 @@
-//! Extension — the adversarial scenario engine at bench scale: the
-//! attack-success-vs-budget curve of the blackbox input-space attacker,
-//! an HDXplore-style disagreement hunt across model variants, and the
-//! joint memory + input attack soak through the resilience supervisor.
+//! Extension — the adversarial scenario engine: the attack-success-vs-budget
+//! curve of the blackbox input-space attacker, an HDXplore-style
+//! disagreement hunt across model variants, and the joint memory + input
+//! attack soak through the resilience supervisor.
 //!
 //! Three questions, one workload:
 //!
@@ -11,236 +11,199 @@
 //!    the trust gate), and blackbox queries spent per radius.
 //! 2. **Where do the model variants disagree?** The hunter evolves raw
 //!    feature rows until the one-shot model, its retrained refinement,
-//!    and a memory-attacked copy return different labels; the corpus is
-//!    replayed fast-vs-reference before being reported, so every case in
-//!    the artifact is bit-exact reproducible.
+//!    and a memory-attacked copy return different labels. The variants
+//!    are rebuilt deterministically, so `robusthd advsoak --replay` can
+//!    replay a persisted corpus fast-vs-reference in a fresh process.
 //! 3. **Does the confidence gate catch input attacks the way the health
 //!    monitor catches bit-rot?** [`::advsim::run_adv_soak`] serves
 //!    adversarially-mixed traffic through the closed loop while a
 //!    [`faultsim::AttackCampaign`] corrupts the model image underneath.
+//!
+//! `robusthd advsoak` runs this harness on a pipeline trained from CSV
+//! files.
 
-use crate::soak::soak_recovery;
-use crate::workload::{EncodedWorkload, Scale};
+use crate::soak::{ClosedLoop, SoakTraffic};
 use ::advsim::{
     budget_curve, run_adv_soak, AdvSoakConfig, AdvSoakReport, AttackBudget, BudgetPoint,
     DisagreementCorpus, DisagreementHunter, HuntBudget,
 };
-use faultsim::{Attacker, ErrorRateSchedule};
-use robusthd::supervisor::ResilienceSupervisor;
-use robusthd::{BatchEngine, SupervisorConfig, TrainedModel};
-use std::fmt::Write as _;
-use synthdata::DatasetSpec;
+use hypervector::BinaryHypervector;
+use robusthd::{BatchEngine, HdcConfig, RecordEncoder, TrainedModel};
+use synthdata::Sample;
 
-/// Queries drawn from the test split for the budget-curve sweep.
+/// Hamming radii the budget curve sweeps.
+pub const CURVE_RADII: [usize; 4] = [0, 16, 64, 256];
+/// Candidate bits the budget curve's attacker scores per greedy round.
+const CURVE_CANDIDATES: usize = 32;
+/// Queries drawn from the traffic for the budget-curve sweep.
 const CURVE_QUERIES: usize = 48;
-/// Seed rows handed to the disagreement hunter.
+/// Traffic rows handed to the disagreement hunter as seeds.
 const HUNT_ROWS: usize = 32;
 /// Memory corruption applied to the hunt's "attacked" model variant.
 const HUNT_ATTACK_RATE: f64 = 0.05;
 
-/// Full adversarial-scenario result for one dataset.
+/// The disagreement hunt's model variants: the one-shot model, its
+/// 2-epoch retrained refinement, and a copy with 5% of its bits flipped.
+/// They are rebuilt deterministically from the pipeline and the seed, so
+/// a corpus hunted in one process replays in another.
+#[derive(Debug)]
+pub struct Variants<'a> {
+    one_shot: &'a TrainedModel,
+    retrained: TrainedModel,
+    attacked: TrainedModel,
+}
+
+impl<'a> Variants<'a> {
+    /// Builds the variants of `model`, retraining on the encoded training
+    /// split.
+    pub fn build(
+        config: &HdcConfig,
+        model: &'a TrainedModel,
+        train: &[BinaryHypervector],
+        train_labels: &[usize],
+        seed: u64,
+    ) -> Self {
+        let mut refined = config.clone();
+        refined.retrain_epochs = 2;
+        let retrained = TrainedModel::train(train, train_labels, model.num_classes(), &refined);
+        let attacked = crate::attack::attack_hdc(model, HUNT_ATTACK_RATE, seed ^ 0xBAD);
+        Self {
+            one_shot: model,
+            retrained,
+            attacked,
+        }
+    }
+
+    /// The variants with the names a disagreement corpus records.
+    pub fn named(&self) -> [(&'static str, &TrainedModel); 3] {
+        [
+            ("one-shot", self.one_shot),
+            ("retrained", &self.retrained),
+            ("attacked", &self.attacked),
+        ]
+    }
+}
+
+/// Outcome of one adversarial scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdvOutcome {
-    /// Dataset name.
-    pub name: String,
-    /// Hypervector dimensionality.
-    pub dim: usize,
-    /// Clean test accuracy of the unattacked model.
-    pub clean_accuracy: f64,
-    /// Attack success vs Hamming budget, one point per swept radius.
+    /// Queries the supervisor calibrated on and keeps as canaries.
+    pub canaries: usize,
+    /// Queries served at every soak step.
+    pub served: usize,
+    /// Attack success vs Hamming budget, one point per radius in
+    /// [`CURVE_RADII`].
     pub curve: Vec<BudgetPoint>,
-    /// The disagreement corpus the hunter found (one-shot vs retrained vs
-    /// memory-attacked variants).
+    /// The disagreement corpus the hunter found across the variants.
     pub corpus: DisagreementCorpus,
-    /// Whether the corpus replayed bit-exactly (fast vs reference
-    /// encoders, batched vs sequential scoring, recorded verdicts).
-    pub replay_clean: bool,
     /// The joint memory + input attack soak trace.
     pub soak: AdvSoakReport,
 }
 
-impl AdvOutcome {
-    /// Hand-written JSON rendering (no serializer dependency), stable
-    /// field order for diffable CI artifacts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"dataset\": \"{}\", \"dim\": {}, \"clean_accuracy\": {:.4}, \"curve\": [",
-            self.name, self.dim, self.clean_accuracy
-        );
-        for (i, p) in self.curve.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"radius\": {}, \"attacks\": {}, \"successes\": {}, \"detected\": {}, \
-                 \"mean_flips\": {:.2}, \"mean_queries\": {:.1}}}",
-                p.radius, p.attacks, p.successes, p.detected, p.mean_flips, p.mean_queries
-            );
-        }
-        let _ = write!(
-            out,
-            "], \"corpus_cases\": {}, \"replay_clean\": {}, \"soak\": {}}}",
-            self.corpus.cases.len(),
-            self.replay_clean,
-            self.soak.to_json()
-        );
-        out
-    }
-}
-
-/// Runs the full adversarial scenario on one dataset: budget curve
-/// against the clean model, disagreement hunt with bit-exact replay, and
-/// the joint soak (`steps` campaign steps ramping linearly to `peak`
-/// cumulative memory corruption while `attack_fraction` of the traffic is
-/// adversarial).
+/// Runs the full adversarial scenario on `traffic`: the budget curve
+/// against the clean model, a disagreement hunt across `variants` seeded
+/// from the first raw traffic rows in `samples`, and the joint soak that
+/// `config` describes.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `radii` is empty, `steps` is zero, or the corpus replay is
-/// not bit-exact (the harness refuses to report a non-reproducible
-/// artifact).
-#[allow(clippy::too_many_arguments)]
+/// Returns a message when the traffic is too small to split into
+/// canaries and served queries.
 pub fn run(
-    spec: &DatasetSpec,
-    scale: Scale,
-    dim: usize,
+    traffic: &SoakTraffic<'_>,
+    encoder: &RecordEncoder,
+    variants: &Variants<'_>,
+    samples: &[Sample],
     seed: u64,
-    radii: &[usize],
-    steps: usize,
-    peak: f64,
-    attack_fraction: f64,
-    trust_threshold: f64,
-) -> AdvOutcome {
-    assert!(!radii.is_empty(), "need at least one radius");
-    assert!(steps > 0, "need at least one soak step");
-    let w = EncodedWorkload::build(spec, scale, dim, seed);
+    config: &AdvSoakConfig,
+) -> Result<AdvOutcome, String> {
     let engine = BatchEngine::from_env();
-    let beta = w.config.softmax_beta;
-    let classes = w.data.spec.classes;
-    let features = w.data.spec.features;
+    let beta = traffic.config.softmax_beta;
 
     // 1. Attack success vs Hamming budget, clean model.
-    let curve_queries = &w.test_encoded[..w.test_encoded.len().min(CURVE_QUERIES)];
+    let curve_queries = &traffic.queries[..traffic.queries.len().min(CURVE_QUERIES)];
     let budget = AttackBudget::new(0)
-        .with_candidates(32)
+        .with_candidates(CURVE_CANDIDATES)
         .with_seed(seed ^ 0xAD);
     let curve = budget_curve(
         &engine,
-        &w.model,
+        traffic.model,
         curve_queries,
         beta,
-        radii,
+        &CURVE_RADII,
         &budget,
-        trust_threshold,
+        config.trust_threshold,
     );
 
     // 2. Disagreement hunt: one-shot vs retrained vs memory-attacked.
-    let mut refined_cfg = w.config.clone();
-    refined_cfg.retrain_epochs = 2;
-    let retrained = TrainedModel::train(&w.train_encoded, &w.train_labels, classes, &refined_cfg);
-    let mut attacked = w.model.clone();
-    let mut image = attacked.to_memory_image();
-    Attacker::seed_from(seed ^ 0xBAD).random_flips(
-        image.words_mut(),
-        attacked.num_classes() * attacked.dim(),
-        HUNT_ATTACK_RATE,
-    );
-    image.mask_tail();
-    attacked.load_memory_image(&image);
-    let variants = [
-        ("one-shot", &w.model),
-        ("retrained", &retrained),
-        ("attacked", &attacked),
-    ];
-    let rows: Vec<Vec<f64>> = w
-        .data
-        .test
+    let rows: Vec<Vec<f64>> = samples
         .iter()
         .take(HUNT_ROWS)
         .map(|s| s.features.clone())
         .collect();
     let hunter = DisagreementHunter::new(HuntBudget::new(6, 12).with_seed(seed));
-    let corpus = hunter.hunt(&engine, &w.encoder, &variants, &rows, beta);
-
-    // Replay the corpus through both encoder paths before reporting it:
-    // an artifact that does not reproduce bit-exactly is a harness bug,
-    // not a finding.
-    let replay = corpus.replay(&engine, &w.encoder, &variants, beta);
-    assert!(replay.is_clean(), "corpus replay not bit-exact: {replay:?}");
+    let corpus = hunter.hunt(&engine, encoder, &variants.named(), &rows, beta);
 
     // 3. Joint memory + input attack soak through the closed loop.
-    let half = (w.test_encoded.len() / 2).max(1);
-    let (canaries, served) = w.test_encoded.split_at(half);
-    let served_labels = &w.test_labels[half..];
-    let policy = SupervisorConfig::builder()
-        .window(served.len())
-        .sensitivity(0.9)
-        .build()
-        .expect("valid policy");
-    let mut supervisor =
-        ResilienceSupervisor::new(&w.config, soak_recovery(seed ^ 0x50AC), policy, features);
-    let mut model = w.model.clone();
-    supervisor.calibrate(&model, canaries);
-    let schedule = ErrorRateSchedule::from_cumulative(
-        (1..=steps)
-            .map(|i| peak * i as f64 / steps as f64)
-            .collect(),
-    );
-    let soak_radius = radii.last().copied().unwrap_or(dim / 64);
-    let soak_cfg = AdvSoakConfig {
-        schedule,
-        budget: AttackBudget::new(soak_radius)
-            .with_candidates(32)
-            .with_seed(seed ^ 0x5030),
-        attack_fraction,
-        trust_threshold,
-    };
-    let soak = run_adv_soak(
-        &mut supervisor,
-        &mut model,
+    let ClosedLoop {
+        mut supervisor,
+        mut model,
+        canaries,
         served,
         served_labels,
-        &soak_cfg,
-    );
+    } = traffic.calibrate(seed)?;
+    let soak = run_adv_soak(&mut supervisor, &mut model, served, served_labels, config);
 
-    AdvOutcome {
-        name: w.data.spec.name.clone(),
-        dim,
-        clean_accuracy: w.clean_accuracy(),
+    Ok(AdvOutcome {
+        canaries,
+        served: served.len(),
         curve,
         corpus,
-        replay_clean: replay.is_clean(),
         soak,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{EncodedWorkload, Scale};
+    use faultsim::ErrorRateSchedule;
+    use synthdata::DatasetSpec;
 
     #[test]
     fn quick_adv_scenario_is_coherent() {
+        let w = EncodedWorkload::build(&DatasetSpec::pecan(), Scale::Quick, 1024, 5);
+        let variants = Variants::build(&w.config, &w.model, &w.train_encoded, &w.train_labels, 5);
+        let config = AdvSoakConfig {
+            schedule: ErrorRateSchedule::linear(0.0, 0.04, 2),
+            budget: AttackBudget::new(64).with_candidates(32).with_seed(5),
+            attack_fraction: 0.2,
+            trust_threshold: 0.3,
+        };
         let o = run(
-            &DatasetSpec::pecan(),
-            Scale::Quick,
-            1024,
+            &w.traffic(),
+            &w.encoder,
+            &variants,
+            &w.data.test,
             5,
-            &[0, 64],
-            2,
-            0.04,
-            0.2,
-            0.3,
+            &config,
+        )
+        .expect("traffic splits");
+        assert_eq!(
+            o.curve.len(),
+            CURVE_RADII.len(),
+            "the budget curve is present"
         );
-        assert_eq!(o.curve.len(), 2);
         assert_eq!(o.curve[0].successes, 0, "zero radius flips nothing");
+        assert!(o.curve.iter().all(|p| p.attacks == CURVE_QUERIES));
         assert_eq!(o.soak.steps.len(), 2);
-        assert!(o.replay_clean);
         assert!(o.soak.steps.iter().all(|s| s.attacked > 0));
-        let json = o.to_json();
-        assert!(json.contains("\"curve\": ["));
-        assert!(json.contains("\"soak\": {"));
+        let replay = o.corpus.replay(
+            &BatchEngine::from_env(),
+            &w.encoder,
+            &variants.named(),
+            w.config.softmax_beta,
+        );
+        assert!(replay.is_clean(), "corpus replay not bit-exact: {replay:?}");
     }
 }

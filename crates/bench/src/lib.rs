@@ -3,11 +3,12 @@
 //!
 //! Each experiment module builds its workload from the synthetic dataset
 //! generators, trains the models involved, applies the paper's fault
-//! models, and returns typed result rows; the `src/bin` targets print them
-//! in the layout of the paper's tables. The `robusthd` CLI's `throughput`,
-//! `trainbench`, `kernelbench` and `soak` subcommands call the same
-//! modules, and its `servebench` and `fleetbench` subcommands drive the
-//! serving harnesses in `robusthd-serve` directly.
+//! models, and returns typed result rows; [`paper`] renders them in the
+//! layout of the paper's tables. The `robusthd` CLI is the crate's one
+//! front end: its `paper` subcommand prints the artifacts, its `soak`,
+//! `advsoak`, `throughput`, `trainbench` and `kernelbench` subcommands
+//! call the extension modules, and its `servebench` and `fleetbench`
+//! subcommands drive the serving harnesses in `robusthd-serve` directly.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -18,6 +19,7 @@
 //! | [`fig3`]   | Figure 3 — recovery vs confidence threshold and substitution rate |
 //! | [`fig4a`]  | Figure 4a — PIM lifetime under endurance wear |
 //! | [`fig4b`]  | Figure 4b — DRAM refresh relaxation |
+//! | [`ablation`] | Design-choice ablations (DESIGN.md §5/§8) |
 //! | [`soak`]   | Extension — chaos soak of the closed-loop resilience supervisor |
 //! | [`throughput`] | Extension — batched inference throughput across thread counts |
 //! | [`trainbench`] | Extension — bit-sliced training throughput (bundle/retrain) across thread counts |
@@ -37,8 +39,9 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4a;
 pub mod fig4b;
-pub mod format;
+mod format;
 pub mod kernelbench;
+pub mod paper;
 pub mod soak;
 pub mod table1;
 pub mod table3;

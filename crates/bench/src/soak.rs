@@ -2,35 +2,89 @@
 //! attack campaign with a catastrophic mid-run burst.
 //!
 //! Not a paper artifact: this exercises the serving-runtime extension
-//! (DESIGN.md, "Closed-loop recovery") at bench scale. The campaign
+//! (DESIGN.md, "Closed-loop recovery"). The campaign
 //! accumulates diffuse corruption the escalating recovery ladder can
 //! repair in place; the optional burst flips half of every stored word —
 //! damage no rung can undo — forcing escalation and a rollback to the
 //! last healthy checkpoint.
+//!
+//! `robusthd soak` runs this harness on a pipeline trained from CSV files.
 
-use crate::workload::{EncodedWorkload, Scale};
 use faultsim::{AttackCampaign, ErrorRateSchedule};
+use hypervector::BinaryHypervector;
 use robusthd::supervisor::{run_soak, ResilienceSupervisor, SoakReport};
-use robusthd::{RecoveryConfig, SupervisorConfig};
-use synthdata::DatasetSpec;
+use robusthd::{HdcConfig, RecoveryConfig, SupervisorConfig, TrainedModel};
 
-/// Outcome of one chaos-soak run.
+/// A trained pipeline and the encoded traffic a soak serves. The first
+/// half of the traffic calibrates the supervisor and stays with it as its
+/// canaries; the second half is served at every step.
+#[derive(Debug, Clone, Copy)]
+pub struct SoakTraffic<'a> {
+    /// The pipeline's configuration.
+    pub config: &'a HdcConfig,
+    /// Raw features per sample.
+    pub features: usize,
+    /// The clean trained model; a soak corrupts its own copy.
+    pub model: &'a TrainedModel,
+    /// The encoded traffic.
+    pub queries: &'a [BinaryHypervector],
+    /// The traffic's labels, used only to report accuracy.
+    pub labels: &'a [usize],
+}
+
+/// A supervisor calibrated on the traffic's canaries, with the model copy
+/// it guards and the queries it serves.
+pub(crate) struct ClosedLoop<'a> {
+    pub(crate) supervisor: ResilienceSupervisor,
+    pub(crate) model: TrainedModel,
+    pub(crate) canaries: usize,
+    pub(crate) served: &'a [BinaryHypervector],
+    pub(crate) served_labels: &'a [usize],
+}
+
+impl<'a> SoakTraffic<'a> {
+    /// Splits the traffic into canaries and served queries and calibrates
+    /// a supervisor at the soak's recovery operating point on the
+    /// canaries.
+    pub(crate) fn calibrate(&self, seed: u64) -> Result<ClosedLoop<'a>, String> {
+        if self.queries.len() < 2 {
+            return Err(
+                "traffic file too small to split into canaries and served queries".to_owned(),
+            );
+        }
+        let half = self.queries.len() / 2;
+        let (canaries, served) = self.queries.split_at(half);
+        let policy = SupervisorConfig::builder()
+            .window(served.len())
+            .sensitivity(0.9)
+            .build()
+            .map_err(|e| e.to_string())?;
+        let mut supervisor = ResilienceSupervisor::new(
+            self.config,
+            soak_recovery(seed ^ 0x50AC),
+            policy,
+            self.features,
+        );
+        let model = self.model.clone();
+        supervisor.calibrate(&model, canaries);
+        Ok(ClosedLoop {
+            supervisor,
+            model,
+            canaries: canaries.len(),
+            served,
+            served_labels: &self.labels[half..],
+        })
+    }
+}
+
+/// Outcome of one chaos soak.
 #[derive(Debug)]
 pub struct SoakOutcome {
-    /// Dataset name.
-    pub name: String,
-    /// Clean accuracy on the served split.
-    pub clean_accuracy: f64,
-    /// Accuracy at the last soak step.
-    pub final_accuracy: f64,
-    /// Cumulative injected corruption at the end, as a fraction of the
-    /// model image.
-    pub peak_error_rate: f64,
-    /// Ladder climbs over the run.
-    pub escalations: usize,
-    /// Checkpoint rollbacks over the run.
-    pub rollbacks: usize,
-    /// The full per-step trace.
+    /// Queries the supervisor calibrated on and keeps as canaries.
+    pub canaries: usize,
+    /// Queries served at every step.
+    pub served: usize,
+    /// The per-step trace.
     pub report: SoakReport,
 }
 
@@ -40,44 +94,36 @@ pub fn soak_recovery(seed: u64) -> RecoveryConfig {
     crate::table4::recovery_operating_point(seed)
 }
 
-/// Runs one chaos soak: `steps` campaign steps ramping linearly to a
-/// cumulative corruption of `peak`, with (when `burst` is set) half of
-/// every stored word flipped at the midpoint.
+/// Runs one chaos soak over `traffic`: `steps` campaign steps ramping
+/// linearly to a cumulative corruption of `peak` (spent on stored-word
+/// MSBs first when `targeted` is set), with half of every stored word
+/// flipped at the midpoint step instead when `burst` is set.
+///
+/// # Errors
+///
+/// Returns a message when the traffic is too small to split into
+/// canaries and served queries.
+///
+/// # Panics
+///
+/// Panics if `steps` is zero or `peak` is outside `[0, 1]`.
 pub fn run(
-    spec: &DatasetSpec,
-    scale: Scale,
-    dim: usize,
+    traffic: &SoakTraffic<'_>,
     seed: u64,
     steps: usize,
     peak: f64,
     burst: bool,
-) -> SoakOutcome {
-    assert!(steps > 0, "need at least one campaign step");
-    let w = EncodedWorkload::build(spec, scale, dim, seed);
-    let half = (w.test_encoded.len() / 2).max(1);
-    let (canaries, served) = w.test_encoded.split_at(half);
-    let served_labels = &w.test_labels[half..];
-
-    let policy = SupervisorConfig::builder()
-        .window(served.len())
-        .sensitivity(0.9)
-        .build()
-        .expect("valid policy");
-    let mut supervisor = ResilienceSupervisor::new(
-        &w.config,
-        soak_recovery(seed ^ 0x50AC),
-        policy,
-        w.data.spec.features,
-    );
-    let mut model = w.model.clone();
-    supervisor.calibrate(&model, canaries);
-
+    targeted: bool,
+) -> Result<SoakOutcome, String> {
+    let ClosedLoop {
+        mut supervisor,
+        mut model,
+        canaries,
+        served,
+        served_labels,
+    } = traffic.calibrate(seed)?;
     let model_bits = model.num_classes() * model.dim();
-    let schedule = ErrorRateSchedule::from_cumulative(
-        (1..=steps)
-            .map(|i| peak * i as f64 / steps as f64)
-            .collect(),
-    );
+    let schedule = ErrorRateSchedule::linear(0.0, peak, steps);
     let mut campaign = AttackCampaign::new(schedule, model_bits, seed ^ 0xCA);
     let burst_at = steps / 2;
     let report = run_soak(
@@ -92,6 +138,8 @@ pub fn run(
                     *word ^= 0xAAAA_AAAA_AAAA_AAAA;
                 }
                 model_bits / 2
+            } else if targeted {
+                campaign.advance_targeted(image.words_mut(), 64)?
             } else {
                 campaign.advance(image.words_mut())?
             };
@@ -100,31 +148,43 @@ pub fn run(
             Some(flipped)
         },
     );
-
-    SoakOutcome {
-        name: w.data.spec.name.clone(),
-        clean_accuracy: report.clean_accuracy,
-        final_accuracy: report.final_accuracy(),
-        peak_error_rate: report.peak_error_rate(),
-        escalations: report.escalations(),
-        rollbacks: report.rollbacks(),
+    Ok(SoakOutcome {
+        canaries,
+        served: served.len(),
         report,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{EncodedWorkload, Scale};
+    use synthdata::DatasetSpec;
 
     #[test]
     fn quick_soak_holds_accuracy_without_burst() {
-        let outcome = run(&DatasetSpec::pecan(), Scale::Quick, 2048, 7, 3, 0.06, false);
-        assert_eq!(outcome.report.steps.len(), 3);
+        let w = EncodedWorkload::build(&DatasetSpec::pecan(), Scale::Quick, 2048, 7);
+        let outcome = run(&w.traffic(), 7, 3, 0.06, false, false).expect("traffic splits");
+        let report = &outcome.report;
+        assert_eq!(report.steps.len(), 3);
+        assert_eq!(outcome.canaries + outcome.served, w.test_encoded.len());
         assert!(
-            outcome.clean_accuracy - outcome.final_accuracy < 0.1,
+            report.clean_accuracy - report.final_accuracy() < 0.1,
             "clean {} vs final {}",
-            outcome.clean_accuracy,
-            outcome.final_accuracy
+            report.clean_accuracy,
+            report.final_accuracy()
         );
+    }
+
+    #[test]
+    fn one_query_cannot_be_split() {
+        let w = EncodedWorkload::build(&DatasetSpec::pecan(), Scale::Quick, 512, 7);
+        let traffic = SoakTraffic {
+            queries: &w.test_encoded[..1],
+            labels: &w.test_labels[..1],
+            ..w.traffic()
+        };
+        let err = run(&traffic, 7, 2, 0.04, false, false).unwrap_err();
+        assert!(err.contains("too small"), "{err}");
     }
 }

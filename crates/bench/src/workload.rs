@@ -112,6 +112,18 @@ impl EncodedWorkload {
         robusthd::accuracy(&self.model, &self.test_encoded, &self.test_labels)
     }
 
+    /// The test split as soak traffic.
+    #[cfg(test)]
+    pub(crate) fn traffic(&self) -> crate::soak::SoakTraffic<'_> {
+        crate::soak::SoakTraffic {
+            config: &self.config,
+            features: self.data.spec.features,
+            model: &self.model,
+            queries: &self.test_encoded,
+            labels: &self.test_labels,
+        }
+    }
+
     /// Borrowed raw test-feature rows (the input of the fused
     /// encode→score serving path).
     pub fn test_rows(&self) -> Vec<&[f64]> {

@@ -1,19 +1,20 @@
-//! The four subcommands, each a pure function from argv to a text report.
+//! The subcommands, each a pure function from argv to a text report.
 
 use crate::args::ParsedArgs;
-use advsim::{
-    run_adv_soak, AdvSoakConfig, AttackBudget, DisagreementCorpus, DisagreementHunter, HuntBudget,
-};
+use advsim::{AdvSoakConfig, AttackBudget, DisagreementCorpus};
 use baselines::{BitStoredModel, Mlp, MlpConfig};
-use faultsim::{AttackCampaign, Attacker, ErrorRateSchedule};
+use faultsim::{Attacker, ErrorRateSchedule};
 use robusthd::diagnostics::{HealthMonitor, HealthVerdict};
 use robusthd::persist;
-use robusthd::supervisor::{run_soak, ResilienceSupervisor};
+use robusthd::supervisor::ResilienceSupervisor;
 use robusthd::{
     accuracy, BatchConfig, BatchEngine, Encoder, HdcConfig, RecordEncoder, RecoveryEngine,
     SupervisorConfig, TrainedModel,
 };
-use robusthd_bench::soak::soak_recovery;
+use robusthd_bench::advsim::Variants;
+use robusthd_bench::attack::attack_hdc;
+use robusthd_bench::soak::{soak_recovery, SoakTraffic};
+use robusthd_bench::Scale;
 use robusthd_serve::json::Json;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -61,6 +62,19 @@ struct TrainedPipeline {
     clean_accuracy: f64,
 }
 
+impl TrainedPipeline {
+    /// The encoded test split as the traffic a soak serves.
+    fn traffic(&self, features: usize) -> SoakTraffic<'_> {
+        SoakTraffic {
+            config: &self.config,
+            features,
+            model: &self.model,
+            queries: &self.queries,
+            labels: &self.labels,
+        }
+    }
+}
+
 fn train_pipeline(
     train: &[Sample],
     test: &[Sample],
@@ -106,16 +120,6 @@ fn train_pipeline(
     })
 }
 
-fn attack_model(model: &TrainedModel, rate: f64, seed: u64) -> TrainedModel {
-    let mut image = model.to_memory_image();
-    let bits = image.len();
-    Attacker::seed_from(seed).random_flips(image.words_mut(), bits, rate);
-    image.mask_tail();
-    let mut attacked = model.clone();
-    attacked.load_memory_image(&image);
-    attacked
-}
-
 const GENERATE_HELP: &str = "\
 robusthd generate — write a synthetic stand-in dataset to CSV
 
@@ -145,16 +149,7 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
     if args.flag("help") {
         return Ok(GENERATE_HELP.to_owned());
     }
-    let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
     let train_size = args
         .get_parsed_or("train-size", 1200usize)
         .map_err(|e| e.to_string())?;
@@ -253,7 +248,7 @@ pub fn attack(argv: &[String]) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
 
     let pipeline = train_pipeline(&train, &test, dim, seed)?;
-    let attacked = attack_model(&pipeline.model, rate, seed ^ 0xa77);
+    let attacked = attack_hdc(&pipeline.model, rate, seed ^ 0xa77);
     let hdc_attacked = accuracy(&attacked, &pipeline.queries, &pipeline.labels);
 
     let mlp = Mlp::fit(&MlpConfig::default(), &train);
@@ -327,7 +322,7 @@ pub fn recover(argv: &[String]) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
 
     let pipeline = train_pipeline(&train, &test, dim, seed)?;
-    let mut model = attack_model(&pipeline.model, rate, seed ^ 0xa77);
+    let mut model = attack_hdc(&pipeline.model, rate, seed ^ 0xa77);
     let attacked = accuracy(&model, &pipeline.queries, &pipeline.labels);
 
     let mut engine = RecoveryEngine::new(soak_recovery(seed), pipeline.config.softmax_beta);
@@ -524,7 +519,7 @@ pub fn monitor(argv: &[String]) -> Result<String, String> {
         pipeline.queries.len()
     );
     for step in 1..=steps {
-        model = attack_model(&model, rate, seed ^ (step as u64) << 4);
+        model = attack_hdc(&model, rate, seed ^ (step as u64) << 4);
         for q in &pipeline.queries {
             health.observe(&model, q, pipeline.config.softmax_beta);
         }
@@ -601,54 +596,15 @@ pub fn soak(argv: &[String]) -> Result<String, String> {
     let targeted = args.flag("targeted");
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
-    let features = train[0].features.len();
-    let half = (pipeline.queries.len() / 2).max(1);
-    let (canaries, served) = pipeline.queries.split_at(half);
-    let served_labels = &pipeline.labels[half..];
-    if served.is_empty() {
-        return Err("traffic file too small to split into canaries and served queries".to_owned());
-    }
-
-    let base = soak_recovery(seed ^ 0x50AC);
-    let policy = SupervisorConfig::builder()
-        .window(served.len())
-        .sensitivity(0.9)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut supervisor = ResilienceSupervisor::new(&pipeline.config, base, policy, features);
-    let mut model = pipeline.model.clone();
-    supervisor.calibrate(&model, canaries);
-
-    let model_bits = model.num_classes() * model.dim();
-    let schedule = ErrorRateSchedule::from_cumulative(
-        (1..=steps)
-            .map(|i| peak * i as f64 / steps as f64)
-            .collect(),
-    );
-    let mut campaign = AttackCampaign::new(schedule, model_bits, seed ^ 0xCA);
-    let burst_at = steps / 2;
-    let report = run_soak(
-        &mut supervisor,
-        &mut model,
-        served,
-        served_labels,
-        |model, step| {
-            let mut image = model.to_memory_image();
-            let flipped = if burst && step == burst_at {
-                for word in image.words_mut() {
-                    *word ^= 0xAAAA_AAAA_AAAA_AAAA;
-                }
-                model_bits / 2
-            } else if targeted {
-                campaign.advance_targeted(image.words_mut(), 64)?
-            } else {
-                campaign.advance(image.words_mut())?
-            };
-            image.mask_tail();
-            model.load_memory_image(&image);
-            Some(flipped)
-        },
-    );
+    let soak = robusthd_bench::soak::run(
+        &pipeline.traffic(train[0].features.len()),
+        seed,
+        steps,
+        peak,
+        burst,
+        targeted,
+    )?;
+    let report = soak.report;
 
     if args.flag("json") {
         return Ok(report.to_json());
@@ -657,8 +613,7 @@ pub fn soak(argv: &[String]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "calibrated on {} canaries, serving {} queries per batch",
-        canaries.len(),
-        served.len()
+        soak.canaries, soak.served
     );
     for s in &report.steps {
         let _ = writeln!(
@@ -708,7 +663,10 @@ campaign corrupts stored memory AND a blackbox margin-guided attacker
 perturbs a fraction of the queries inside a hard Hamming budget. Reports
 whether the confidence gate detects the adversarial queries. Also hunts a
 disagreement corpus across model variants (one-shot vs retrained vs
-memory-attacked) that can be persisted and later replayed bit-exactly.
+memory-attacked) that can be persisted and later replayed bit-exactly,
+and sweeps the attacker's Hamming budget (radius 0, 16, 64 and 256,
+candidate width 32) against the clean model on the first 48 traffic
+queries: attack success, detection and blackbox queries per radius.
 
 OPTIONS:
     --train <PATH>     training CSV (required)
@@ -728,25 +686,6 @@ OPTIONS:
     --dim <N>          HDC dimensionality (default 4096)
     --seed <N>         pipeline/attack seed (default 0)
     --json             emit the full JSON report instead of a text report";
-
-/// Rebuilds the hunt's model variants deterministically from a pipeline:
-/// the one-shot model, a 2-epoch retrained refinement, and a 5%
-/// memory-attacked copy.
-fn adv_variants(
-    pipeline: &TrainedPipeline,
-    train: &[Sample],
-    seed: u64,
-) -> (TrainedModel, TrainedModel) {
-    let train_rows: Vec<&[f64]> = train.iter().map(|s| s.features.as_slice()).collect();
-    let encoded_train = pipeline.encoder.encode_batch_refs(&train_rows);
-    let train_labels: Vec<_> = train.iter().map(|s| s.label).collect();
-    let classes = pipeline.model.num_classes();
-    let mut refined = pipeline.config.clone();
-    refined.retrain_epochs = 2;
-    let retrained = TrainedModel::train(&encoded_train, &train_labels, classes, &refined);
-    let attacked = attack_model(&pipeline.model, 0.05, seed ^ 0xBAD);
-    (retrained, attacked)
-}
 
 /// `robusthd advsoak` — adversarial scenario soak (input + memory attacks).
 pub fn advsoak(argv: &[String]) -> Result<String, String> {
@@ -816,22 +755,27 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
-    let features = train[0].features.len();
-    let engine = BatchEngine::from_env();
-    let beta = pipeline.config.softmax_beta;
-    let (retrained, attacked) = adv_variants(&pipeline, &train, seed);
-    let variants = [
-        ("one-shot", &pipeline.model),
-        ("retrained", &retrained),
-        ("attacked", &attacked),
-    ];
+    let train_rows: Vec<&[f64]> = train.iter().map(|s| s.features.as_slice()).collect();
+    let train_labels: Vec<_> = train.iter().map(|s| s.label).collect();
+    let variants = Variants::build(
+        &pipeline.config,
+        &pipeline.model,
+        &pipeline.encoder.encode_batch_refs(&train_rows),
+        &train_labels,
+        seed,
+    );
 
     // Replay mode: verify a previously persisted corpus bit-exactly
     // against the rebuilt pipeline, then stop.
     if let Some(path) = args.get("replay") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let corpus = DisagreementCorpus::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
-        let report = corpus.replay(&engine, &pipeline.encoder, &variants, beta);
+        let report = corpus.replay(
+            &BatchEngine::from_env(),
+            &pipeline.encoder,
+            &variants.named(),
+            pipeline.config.softmax_beta,
+        );
         if args.flag("json") {
             let count = |n: usize| Json::Number(n as f64);
             return Ok(json_object(vec![
@@ -857,40 +801,6 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         ));
     }
 
-    // Disagreement hunt over the traffic's raw feature rows.
-    let hunt_rows: Vec<Vec<f64>> = traffic
-        .iter()
-        .take(32)
-        .map(|s| s.features.clone())
-        .collect();
-    let hunter = DisagreementHunter::new(HuntBudget::new(6, 12).with_seed(seed));
-    let corpus = hunter.hunt(&engine, &pipeline.encoder, &variants, &hunt_rows, beta);
-    let mut corpus_note = format!("{} disagreements", corpus.cases.len());
-    if let Some(path) = args.get("corpus") {
-        write_atomically(path, |file| {
-            file.write_all(corpus.to_text().as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))
-        })?;
-        let _ = write!(corpus_note, " (persisted to {path})");
-    }
-
-    // Joint soak: memory campaign + input attacks through the closed loop.
-    let half = (pipeline.queries.len() / 2).max(1);
-    let (canaries, served) = pipeline.queries.split_at(half);
-    let served_labels = &pipeline.labels[half..];
-    if served.is_empty() {
-        return Err("traffic file too small to split into canaries and served queries".to_owned());
-    }
-    let base = soak_recovery(seed ^ 0x50AC);
-    let policy = SupervisorConfig::builder()
-        .window(served.len())
-        .sensitivity(0.9)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut supervisor = ResilienceSupervisor::new(&pipeline.config, base, policy, features);
-    let mut model = pipeline.model.clone();
-    supervisor.calibrate(&model, canaries);
-
     let schedule = if args.flag("tcam") {
         if !(horizon.is_finite() && horizon >= 0.0) {
             return Err(format!(
@@ -901,11 +811,7 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
             pimsim::TcamBerModel::default().cumulative_rates(steps, horizon),
         )
     } else {
-        ErrorRateSchedule::from_cumulative(
-            (1..=steps)
-                .map(|i| peak * i as f64 / steps as f64)
-                .collect(),
-        )
+        ErrorRateSchedule::linear(0.0, peak, steps)
     };
     let config = AdvSoakConfig {
         schedule,
@@ -915,24 +821,58 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         attack_fraction: attack_frac,
         trust_threshold: trust,
     };
-    let report = run_adv_soak(&mut supervisor, &mut model, served, served_labels, &config);
+    let outcome = robusthd_bench::advsim::run(
+        &pipeline.traffic(train[0].features.len()),
+        &pipeline.encoder,
+        &variants,
+        &traffic,
+        seed,
+        &config,
+    )?;
+    let (corpus, report) = (&outcome.corpus, &outcome.soak);
+    let mut corpus_note = format!("{} disagreements", corpus.cases.len());
+    if let Some(path) = args.get("corpus") {
+        write_atomically(path, |file| {
+            file.write_all(corpus.to_text().as_bytes())
+                .map_err(|e| format!("cannot write {path}: {e}"))
+        })?;
+        let _ = write!(corpus_note, " (persisted to {path})");
+    }
 
     if args.flag("json") {
+        let curve: Vec<String> = outcome
+            .curve
+            .iter()
+            .map(|p| {
+                format!(
+                    "{{\"radius\":{},\"attacks\":{},\"successes\":{},\"detected\":{},\
+                     \"mean_flips\":{},\"mean_queries\":{}}}",
+                    p.radius, p.attacks, p.successes, p.detected, p.mean_flips, p.mean_queries
+                )
+            })
+            .collect();
         return Ok(format!(
-            "{{\"corpus_cases\":{},\"radius\":{},\"soak\":{}}}",
+            "{{\"corpus_cases\":{},\"radius\":{},\"soak\":{},\"curve\":[{}]}}",
             corpus.cases.len(),
             radius,
-            report.to_json()
+            report.to_json(),
+            curve.join(",")
         ));
     }
     let mut out = String::new();
     let _ = writeln!(
         out,
         "calibrated on {} canaries, serving {} queries per step",
-        canaries.len(),
-        served.len()
+        outcome.canaries, outcome.served
     );
     let _ = writeln!(out, "hunt: {corpus_note}");
+    for p in &outcome.curve {
+        let _ = writeln!(
+            out,
+            "budget {}: {}/{} attacks succeeded ({} caught), {:.1} flips and {:.0} queries per attack",
+            p.radius, p.successes, p.attacks, p.detected, p.mean_flips, p.mean_queries
+        );
+    }
     for s in &report.steps {
         let _ = writeln!(
             out,
@@ -962,6 +902,50 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
         report.false_alarm_rate() * 100.0
     );
     Ok(out)
+}
+
+const PAPER_HELP: &str = "\
+robusthd paper — regenerate the paper's tables and figures
+
+Runs the experiment behind each of the paper's artifacts on the synthetic
+stand-in datasets and prints its table under a `== … ==` heading, in the
+layout and order of results_standard.txt, so
+`robusthd paper > results_standard.txt` regenerates the committed record.
+Every experiment is seeded, so the same scale prints the same text.
+
+OPTIONS:
+    --only <NAME>    print one artifact: table1 | table3 | table4 | fig2 | fig3 |
+                     fig4a | fig4b | ablation (default: all of them)
+    --scale <NAME>   quick | standard | full (default standard)";
+
+/// `robusthd paper` — the paper's tables and figures
+/// ([`robusthd_bench::paper::render`]).
+pub fn paper(argv: &[String]) -> Result<String, String> {
+    let args = ParsedArgs::parse(argv, &["only", "scale", "help"]).map_err(|e| e.to_string())?;
+    if args.flag("help") {
+        return Ok(PAPER_HELP.to_owned());
+    }
+    let scale = match args.get("scale").unwrap_or("standard") {
+        "quick" => Scale::Quick,
+        "standard" => Scale::Standard,
+        "full" => Scale::Full,
+        other => {
+            return Err(format!(
+                "unknown scale `{other}` (expected quick, standard or full)"
+            ))
+        }
+    };
+    let only = args.get("only");
+    let mut text = robusthd_bench::paper::render(only, scale).ok_or_else(|| {
+        let names: Vec<_> = robusthd_bench::paper::names().collect();
+        format!(
+            "unknown artifact `{}` (expected one of: {})",
+            only.unwrap_or_default(),
+            names.join(", ")
+        )
+    })?;
+    text.pop();
+    Ok(text)
 }
 
 const FLAGS_HELP: &str = "\
@@ -2111,6 +2095,70 @@ mod tests {
     }
 
     #[test]
+    fn advsoak_json_reports_the_budget_curve_after_the_soak() {
+        let dir = temp_dir();
+        let train_csv = dir.join("adv_train.csv");
+        let traffic_csv = dir.join("adv_traffic.csv");
+        generate(&argv(&[
+            "--dataset",
+            "pecan",
+            "--train",
+            train_csv.to_str().expect("utf8"),
+            "--test",
+            traffic_csv.to_str().expect("utf8"),
+            "--train-size",
+            "150",
+            "--test-size",
+            "60",
+        ]))
+        .expect("generate succeeds");
+        let json = advsoak(&argv(&[
+            "--train",
+            train_csv.to_str().expect("utf8"),
+            "--traffic",
+            traffic_csv.to_str().expect("utf8"),
+            "--dim",
+            "1024",
+            "--steps",
+            "2",
+            "--json",
+        ]))
+        .expect("advsoak succeeds");
+        assert!(json.starts_with("{\"corpus_cases\":"), "{json}");
+        assert!(json.contains(",\"radius\":64,\"soak\":{"), "{json}");
+        assert!(json.contains("\"detection_rate\""), "{json}");
+        let curve = json
+            .find("},\"curve\":[{\"radius\":0,")
+            .expect("curve follows the soak");
+        let radii = json[curve..].matches("{\"radius\":").count();
+        assert_eq!(radii, robusthd_bench::advsim::CURVE_RADII.len(), "{json}");
+        assert!(json.ends_with("}]}"), "{json}");
+    }
+
+    #[test]
+    fn paper_fig2_matches_the_committed_record() {
+        let record = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results_standard.txt"
+        ));
+        let start = record.find("== FIG 2 ==").expect("record has Fig. 2");
+        let len = record[start..].find("\n\n== ").expect("Fig. 2 is not last");
+        let fig2 = paper(&argv(&["--only", "fig2"])).expect("fig2 renders");
+        assert_eq!(fig2, record[start..start + len]);
+    }
+
+    #[test]
+    fn paper_rejects_unknown_artifact_and_scale() {
+        let err = paper(&argv(&["--only", "table2"])).unwrap_err();
+        assert!(err.contains("unknown artifact `table2`"), "{err}");
+        assert!(err.contains("table1, table3"), "{err}");
+        let err = paper(&argv(&["--scale", "huge"])).unwrap_err();
+        assert!(err.contains("unknown scale `huge`"), "{err}");
+        let err = paper(&argv(&["--dim", "64"])).unwrap_err();
+        assert!(err.contains("unknown option `--dim`"), "{err}");
+    }
+
+    #[test]
     fn throughput_emits_bit_exact_sweep_json() {
         let report = throughput(&argv(&[
             "--dataset",
@@ -2316,6 +2364,8 @@ mod tests {
             infer,
             monitor,
             soak,
+            advsoak,
+            paper,
             throughput,
             trainbench,
             kernelbench,

@@ -33,6 +33,7 @@ COMMANDS:
     monitor     Judge a model's health from unlabeled traffic as it corrupts
     soak        Chaos-soak the self-healing serving runtime under an attack campaign
     advsoak     Joint memory + input adversarial soak with disagreement hunting
+    paper       Regenerate the paper's tables and figures (results_standard.txt)
     serve       Run robusthdd, the coalescing NDJSON serving daemon
     loadgen     Drive concurrent classify load at a running robusthdd
     servebench  Benchmark coalesced vs sequential daemon serving (JSON)
@@ -65,6 +66,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "monitor" => commands::monitor(rest),
         "soak" => commands::soak(rest),
         "advsoak" => commands::advsoak(rest),
+        "paper" => commands::paper(rest),
         "serve" => commands::serve(rest),
         "loadgen" => commands::loadgen(rest),
         "servebench" => commands::servebench(rest),

@@ -459,7 +459,7 @@ impl ModelRegistry {
     ///
     /// [`FleetError::DuplicateModel`] if `id` is taken; [`FleetError::Image`]
     /// if the bytes are not a valid RHD2/RHD1 image.
-    pub fn register_image(&mut self, id: &str, bytes: Vec<u8>) -> Result<(), FleetError> {
+    fn register_image(&mut self, id: &str, bytes: Vec<u8>) -> Result<(), FleetError> {
         if self.tenants.contains_key(id) {
             return Err(FleetError::DuplicateModel(id.to_owned()));
         }

@@ -172,14 +172,6 @@ impl Attacker {
             bit_len,
         }
     }
-
-    /// Samples `count` distinct bit positions below `bit_len` without
-    /// flipping anything — used by callers that need to apply the same fault
-    /// pattern to several images (e.g. accumulating errors over a lifetime
-    /// simulation).
-    pub fn sample_positions(&mut self, bit_len: usize, count: usize) -> Vec<usize> {
-        distinct_indices(&mut self.rng, bit_len, count)
-    }
 }
 
 impl fmt::Debug for Attacker {
@@ -409,12 +401,5 @@ mod tests {
     #[should_panic(expected = "exceeds image capacity")]
     fn bit_len_beyond_image_panics() {
         Attacker::seed_from(0).random_flips(&mut [0u64; 1], 65, 0.1);
-    }
-
-    #[test]
-    fn sample_positions_distinct_and_bounded() {
-        let pos = Attacker::seed_from(10).sample_positions(100, 40);
-        assert_eq!(pos.len(), 40);
-        assert!(pos.iter().all(|&p| p < 100));
     }
 }

@@ -16,9 +16,6 @@ use serde::{Deserialize, Serialize};
 /// let rates = schedule.cumulative_rates();
 /// assert_eq!(rates.len(), 5);
 /// assert!((rates[4] - 0.10).abs() < 1e-12);
-/// let steps = schedule.increments();
-/// let total: f64 = steps.iter().sum();
-/// assert!((total - 0.10).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorRateSchedule {
@@ -67,20 +64,6 @@ impl ErrorRateSchedule {
         &self.cumulative
     }
 
-    /// Per-step rate increments (what to inject *additionally* at each
-    /// step). Sums to the final cumulative rate.
-    pub fn increments(&self) -> Vec<f64> {
-        let mut prev = 0.0;
-        self.cumulative
-            .iter()
-            .map(|&r| {
-                let inc = r - prev;
-                prev = r;
-                inc
-            })
-            .collect()
-    }
-
     /// Number of steps.
     pub fn len(&self) -> usize {
         self.cumulative.len()
@@ -105,15 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn increments_sum_to_final_rate() {
-        let s = ErrorRateSchedule::from_cumulative(vec![0.02, 0.06, 0.10]);
-        let incs = s.increments();
-        assert_eq!(incs.len(), 3);
-        assert!((incs.iter().sum::<f64>() - 0.10).abs() < 1e-12);
-        assert!((incs[1] - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-decreasing")]
     fn decreasing_schedule_panics() {
         ErrorRateSchedule::from_cumulative(vec![0.1, 0.05]);
@@ -135,6 +109,5 @@ mod tests {
     fn empty_schedule_properties() {
         let s = ErrorRateSchedule::from_cumulative(vec![]);
         assert!(s.is_empty());
-        assert!(s.increments().is_empty());
     }
 }

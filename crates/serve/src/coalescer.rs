@@ -130,7 +130,7 @@ impl Coalescer {
 
     /// Whether a poisoned acquisition has been observed (the coalescer
     /// is in shed-and-flush degradation).
-    pub fn is_poisoned(&self) -> bool {
+    fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
 

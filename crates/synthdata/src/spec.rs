@@ -189,15 +189,6 @@ impl DatasetSpec {
             ..self.clone()
         }
     }
-
-    /// Returns a copy with a different per-feature signal-to-noise ratio
-    /// (used by calibration tests and the difficulty ablation).
-    pub fn with_feature_snr(&self, feature_snr: f64) -> Self {
-        Self {
-            feature_snr,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
