@@ -166,6 +166,14 @@ impl Operands {
             queries,
         }
     }
+
+    /// The operand pairs as word slices, the record kernel's input shape.
+    fn pair_words(&self) -> Vec<(&[u64], &[u64])> {
+        self.pairs
+            .iter()
+            .map(|(a, b)| (a.bits().words(), b.bits().words()))
+            .collect()
+    }
 }
 
 /// Panics unless every kernel family is bit-identical across tiers on the
@@ -231,18 +239,29 @@ fn cross_check(ops: &Operands, dim: usize) {
         planes_wide, planes_ref,
         "wide ripple diverges from reference"
     );
-    // Fused bind+bundle: ripple the XOR of every operand pair.
-    let mut xor_ref = vec![vec![0u64; ops.words]; 8];
-    let mut xor_wide = vec![vec![0u64; ops.words]; 8];
-    for (a, b) in &ops.pairs {
-        let (aw, bw) = (a.bits().words(), b.bits().words());
-        tier::ripple_add_xor(KernelTier::Reference, &mut xor_ref, aw, bw);
-        tier::ripple_add_xor(KernelTier::Wide, &mut xor_wide, aw, bw);
+    // Fused bind+bundle (the record-encoding kernel), on an even pair
+    // count (parity ties) and an odd one (an unpaired last feature).
+    let words = ops.pair_words();
+    for count in [words.len(), words.len() - 1] {
+        let tie_mask = if count.is_multiple_of(2) {
+            TIE_PARITY
+        } else {
+            0
+        };
+        let mut bound_ref = vec![0u64; ops.words];
+        let mut bound_wide = vec![0u64; ops.words];
+        tier::bind_majority_words(
+            KernelTier::Reference,
+            &words[..count],
+            tie_mask,
+            &mut bound_ref,
+        );
+        tier::bind_majority_words(KernelTier::Wide, &words[..count], tie_mask, &mut bound_wide);
+        assert_eq!(
+            bound_wide, bound_ref,
+            "wide bind_majority diverges from reference at {count} pairs"
+        );
     }
-    assert_eq!(
-        xor_wide, xor_ref,
-        "wide ripple_add_xor diverges from reference"
-    );
     let added = inputs.len() as i64;
     let mut counts_ref = vec![0i64; dim];
     let mut counts_wide = vec![0i64; dim];
@@ -466,22 +485,21 @@ pub fn run(
         acc
     }));
 
-    // Fused bind+bundle (the record-encoding kernel): ripple the XOR of
-    // every operand pair into bit-planes.
-    let xor_bytes = ops.pairs.len() * pair_bytes;
-    let xor_sweeps = (pass_bytes / (4 * xor_bytes)).max(1);
+    // Fused bind+bundle (the record-encoding kernel): the majority of the
+    // XOR of every operand pair, one record of 16 features per call.
+    let pair_words = ops.pair_words();
+    let bound_bytes = ops.pairs.len() * pair_bytes;
+    let bound_sweeps = (pass_bytes / (4 * bound_bytes)).max(1);
+    let mut bound = vec![0u64; words];
     rows.push(row(
-        "ripple_add_xor",
-        xor_sweeps * xor_bytes,
+        "bind_majority",
+        bound_sweeps * bound_bytes,
         repeats,
         |t| {
             let mut acc = 0u64;
-            for _ in 0..xor_sweeps {
-                let mut planes = vec![vec![0u64; words]; 8];
-                for (a, b) in &ops.pairs {
-                    tier::ripple_add_xor(t, &mut planes, a.bits().words(), b.bits().words());
-                }
-                acc = acc.wrapping_add(planes[0][0]);
+            for _ in 0..bound_sweeps {
+                tier::bind_majority_words(t, &pair_words, TIE_PARITY, &mut bound);
+                acc = acc.wrapping_add(bound[0]);
             }
             acc
         },
@@ -553,7 +571,7 @@ mod tests {
                 "majority_ripple",
                 "bipolar_counts",
                 "threshold",
-                "ripple_add_xor"
+                "bind_majority"
             ]
         );
         assert!(o.rows.iter().all(|r| {

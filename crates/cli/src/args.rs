@@ -34,7 +34,7 @@ impl Error for ArgError {}
 ///     .iter()
 ///     .map(|s| s.to_string())
 ///     .collect();
-/// let args = ParsedArgs::parse(&argv, &["dim", "help"])?;
+/// let args = ParsedArgs::parse(&argv, &["dim"], &["help"])?;
 /// assert_eq!(args.get_parsed_or("dim", 10_000usize)?, 4096);
 /// assert!(args.flag("help"));
 /// # Ok::<(), robusthd_cli::ArgError>(())
@@ -46,42 +46,43 @@ pub struct ParsedArgs {
 }
 
 impl ParsedArgs {
-    /// Parses an argument list, accepting only the `allowed` option names.
-    /// An option followed by another option (or nothing) is a boolean flag.
+    /// Parses an argument list. Each name in `options` takes the next
+    /// argument as its value; each name in `flags` is a boolean flag and
+    /// takes none.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] for unknown or malformed options.
-    pub fn parse(argv: &[String], allowed: &[&str]) -> Result<Self, ArgError> {
+    /// Returns [`ArgError`] for unknown options, positional arguments, and
+    /// a value-taking option given without its value (followed by another
+    /// option, or by nothing).
+    pub fn parse(argv: &[String], options: &[&str], flags: &[&str]) -> Result<Self, ArgError> {
         let mut parsed = Self::default();
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = &argv[i];
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(ArgError::new(format!(
                     "unexpected positional argument `{arg}`"
                 )));
             };
-            if !allowed.contains(&name) {
+            if flags.contains(&name) {
+                parsed.flags.push(name.to_owned());
+            } else if options.contains(&name) {
+                match rest.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        parsed.values.insert(name.to_owned(), value.clone());
+                    }
+                    _ => return Err(ArgError::new(format!("`--{name}` needs a value"))),
+                }
+            } else {
                 return Err(ArgError::new(format!(
                     "unknown option `--{name}` (expected one of: {})",
-                    allowed
+                    options
                         .iter()
+                        .chain(flags)
                         .map(|a| format!("--{a}"))
                         .collect::<Vec<_>>()
                         .join(", ")
                 )));
-            }
-            let value_next = argv.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-            match value_next {
-                Some(value) => {
-                    parsed.values.insert(name.to_owned(), value);
-                    i += 2;
-                }
-                None => {
-                    parsed.flags.push(name.to_owned());
-                    i += 1;
-                }
             }
         }
         Ok(parsed)
@@ -136,8 +137,12 @@ mod tests {
 
     #[test]
     fn parses_values_and_flags() {
-        let args = ParsedArgs::parse(&argv(&["--rate", "0.1", "--verbose"]), &["rate", "verbose"])
-            .expect("valid");
+        let args = ParsedArgs::parse(
+            &argv(&["--rate", "0.1", "--verbose"]),
+            &["rate"],
+            &["verbose"],
+        )
+        .expect("valid");
         assert_eq!(args.get("rate"), Some("0.1"));
         assert!(args.flag("verbose"));
         assert!(!args.flag("rate"));
@@ -145,33 +150,60 @@ mod tests {
 
     #[test]
     fn rejects_unknown_options() {
-        let err = ParsedArgs::parse(&argv(&["--bogus", "1"]), &["rate"]).unwrap_err();
+        let err = ParsedArgs::parse(&argv(&["--bogus", "1"]), &["rate"], &[]).unwrap_err();
         assert!(err.to_string().contains("--bogus"));
         assert!(err.to_string().contains("--rate"));
     }
 
     #[test]
     fn rejects_positional_arguments() {
-        let err = ParsedArgs::parse(&argv(&["stray"]), &["rate"]).unwrap_err();
+        let err = ParsedArgs::parse(&argv(&["stray"]), &["rate"], &[]).unwrap_err();
         assert!(err.to_string().contains("positional"));
     }
 
     #[test]
     fn typed_accessor_parses_and_defaults() {
-        let args = ParsedArgs::parse(&argv(&["--dim", "2048"]), &["dim"]).expect("valid");
+        let args = ParsedArgs::parse(&argv(&["--dim", "2048"]), &["dim"], &[]).expect("valid");
         assert_eq!(args.get_parsed_or("dim", 0usize).expect("parses"), 2048);
         assert_eq!(args.get_parsed_or("seed", 7u64).expect("default"), 7);
-        let bad = ParsedArgs::parse(&argv(&["--dim", "abc"]), &["dim"]).expect("valid");
+        let bad = ParsedArgs::parse(&argv(&["--dim", "abc"]), &["dim"], &[]).expect("valid");
         assert!(bad.get_parsed_or("dim", 0usize).is_err());
     }
 
     #[test]
     fn require_reports_missing() {
-        let args = ParsedArgs::parse(&[], &["train"]).expect("valid");
+        let args = ParsedArgs::parse(&[], &["train"], &[]).expect("valid");
         assert!(args
             .require("train")
             .unwrap_err()
             .to_string()
             .contains("--train"));
+    }
+
+    #[test]
+    fn value_option_without_its_value_is_an_error() {
+        for parts in [
+            &["--only"][..],
+            &["--only", "--json"],
+            &["--json", "--only"],
+        ] {
+            let err = ParsedArgs::parse(&argv(parts), &["only"], &["json"]).unwrap_err();
+            assert_eq!(err.to_string(), "`--only` needs a value", "{parts:?}");
+        }
+    }
+
+    #[test]
+    fn flags_take_no_value() {
+        let args = ParsedArgs::parse(
+            &argv(&["--json", "--only", "fig2", "--burst"]),
+            &["only"],
+            &["json", "burst", "help"],
+        )
+        .expect("valid");
+        assert!(args.flag("json") && args.flag("burst") && !args.flag("help"));
+        assert_eq!(args.get("only"), Some("fig2"));
+        // A flag never swallows the argument after it.
+        let err = ParsedArgs::parse(&argv(&["--json", "fig2"]), &[], &["json"]).unwrap_err();
+        assert!(err.to_string().contains("positional"));
     }
 }

@@ -142,8 +142,8 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
             "train-size",
             "test-size",
             "seed",
-            "help",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -193,7 +193,7 @@ OPTIONS:
 
 /// `robusthd evaluate` — train on one CSV, score on another.
 pub fn evaluate(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "test", "dim", "seed", "help"])
+    let args = ParsedArgs::parse(argv, &["train", "test", "dim", "seed"], &["help"])
         .map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(EVALUATE_HELP.to_owned());
@@ -227,7 +227,7 @@ OPTIONS:
 
 /// `robusthd attack` — HDC vs DNN quality loss at one attack rate.
 pub fn attack(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "test", "rate", "dim", "seed", "help"])
+    let args = ParsedArgs::parse(argv, &["train", "test", "rate", "dim", "seed"], &["help"])
         .map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(ATTACK_HELP.to_owned());
@@ -297,7 +297,8 @@ OPTIONS:
 pub fn recover(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
-        &["train", "test", "rate", "dim", "passes", "seed", "help"],
+        &["train", "test", "rate", "dim", "passes", "seed"],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -370,7 +371,7 @@ OPTIONS:
 
 /// `robusthd train` — fit a pipeline and persist it.
 pub fn train(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "model", "dim", "seed", "help"])
+    let args = ParsedArgs::parse(argv, &["train", "model", "dim", "seed"], &["help"])
         .map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(TRAIN_HELP.to_owned());
@@ -424,7 +425,7 @@ OPTIONS:
 
 /// `robusthd infer` — serve predictions from a persisted pipeline.
 pub fn infer(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["model", "input", "predictions", "help"])
+    let args = ParsedArgs::parse(argv, &["model", "input"], &["predictions", "help"])
         .map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(INFER_HELP.to_owned());
@@ -482,7 +483,8 @@ OPTIONS:
 pub fn monitor(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
-        &["train", "traffic", "rate", "steps", "dim", "seed", "help"],
+        &["train", "traffic", "rate", "steps", "dim", "seed"],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -564,9 +566,8 @@ OPTIONS:
 pub fn soak(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
-        &[
-            "train", "traffic", "steps", "peak", "burst", "targeted", "dim", "seed", "json", "help",
-        ],
+        &["train", "traffic", "steps", "peak", "dim", "seed"],
+        &["burst", "targeted", "json", "help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -696,7 +697,6 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
             "traffic",
             "steps",
             "peak",
-            "tcam",
             "horizon",
             "radius",
             "candidates",
@@ -706,9 +706,8 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
             "replay",
             "dim",
             "seed",
-            "json",
-            "help",
         ],
+        &["tcam", "json", "help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -921,7 +920,7 @@ OPTIONS:
 /// `robusthd paper` — the paper's tables and figures
 /// ([`robusthd_bench::paper::render`]).
 pub fn paper(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["only", "scale", "help"]).map_err(|e| e.to_string())?;
+    let args = ParsedArgs::parse(argv, &["only", "scale"], &["help"]).map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(PAPER_HELP.to_owned());
     }
@@ -969,7 +968,7 @@ fn json_object(fields: Vec<(&str, Json)>) -> Json {
 
 /// `robusthd flags` — the flag registry as one JSON object.
 pub fn flags(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["help"]).map_err(|e| e.to_string())?;
+    let args = ParsedArgs::parse(argv, &[], &["help"]).map_err(|e| e.to_string())?;
     if args.flag("help") {
         return Ok(FLAGS_HELP.to_owned());
     }
@@ -1035,8 +1034,9 @@ pub fn throughput(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
         &[
-            "dataset", "queries", "dim", "threads", "shard", "repeats", "seed", "help",
+            "dataset", "queries", "dim", "threads", "shard", "repeats", "seed",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1094,8 +1094,9 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
         &[
-            "dataset", "samples", "dim", "epochs", "threads", "shard", "repeats", "seed", "help",
+            "dataset", "samples", "dim", "epochs", "threads", "shard", "repeats", "seed",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1158,7 +1159,7 @@ robusthd kernelbench — measure execution-tier kernel throughput (GiB/s)
 Times every kernel family the execution tiers re-route — pairwise and
 masked-range Hamming distance, class-major scoring, the carry-save
 majority ripple, bipolar count extraction, threshold extraction, and the
-fused bind+bundle ripple that record encoding runs per feature — on
+word-major fused bind+bundle that record encoding runs once per row — on
 seeded operands shaped like the dataset (dimension, class count), on
 BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
 of operand traffic per tier and the wide/reference speedup. Each round
@@ -1193,7 +1194,8 @@ const KERNEL_PASS_BYTES: usize = 64 * 1024 * 1024;
 pub fn kernelbench(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
-        &["dataset", "dim", "queries", "repeats", "seed", "help"],
+        &["dataset", "dim", "queries", "repeats", "seed"],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1324,8 +1326,8 @@ pub fn serve(argv: &[String]) -> Result<String, String> {
             "checkpoint",
             "threads",
             "shard",
-            "help",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1454,9 +1456,8 @@ OPTIONS:
 pub fn loadgen(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
         argv,
-        &[
-            "addr", "traffic", "clients", "requests", "pipeline", "json", "help",
-        ],
+        &["addr", "traffic", "clients", "requests", "pipeline"],
+        &["json", "help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1584,8 +1585,8 @@ pub fn servebench(argv: &[String]) -> Result<String, String> {
             "canaries",
             "threads",
             "shard",
-            "help",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -1736,8 +1737,8 @@ pub fn fleetbench(argv: &[String]) -> Result<String, String> {
             "queue-depth",
             "threads",
             "shard",
-            "help",
         ],
+        &["help"],
     )
     .map_err(|e| e.to_string())?;
     if args.flag("help") {
@@ -2156,6 +2157,17 @@ mod tests {
         assert!(err.contains("unknown scale `huge`"), "{err}");
         let err = paper(&argv(&["--dim", "64"])).unwrap_err();
         assert!(err.contains("unknown option `--dim`"), "{err}");
+    }
+
+    #[test]
+    fn value_option_without_its_value_fails() {
+        let err = paper(&argv(&["--only"])).unwrap_err();
+        assert_eq!(err, "`--only` needs a value");
+        let err =
+            generate(&argv(&["--dataset", "--train", "t.csv", "--test", "e.csv"])).unwrap_err();
+        assert_eq!(err, "`--dataset` needs a value");
+        let err = crate::run(&argv(&["soak", "--json", "--steps"])).unwrap_err();
+        assert!(err.contains("`--steps` needs a value"), "{err}");
     }
 
     #[test]

@@ -654,8 +654,10 @@ pub const KERNEL_TIER_ENV_VAR: &str = "ROBUSTHD_KERNEL_TIER";
 /// Selection of the execution-tier kernel implementation
 /// ([`hypervector::tier`]): the scalar `Reference` tier or the portable
 /// wide-lane `Wide` tier behind both kernel families — XOR + popcount
-/// Hamming distance, and the carry-save majority ripple (including the
-/// fused bind+bundle that record encoding runs on).
+/// Hamming distance, and the carry-save majority (training's incremental
+/// ripple, and the word-major fused bind+bundle that record encoding runs
+/// once per row: one word at a time in `Reference`, one 8-word block at a
+/// time in `Wide`).
 ///
 /// Like [`BatchConfig`], this is a pure throughput knob: both tiers
 /// compute exact integer popcounts and identical bit patterns, which the
@@ -1064,8 +1066,8 @@ impl FlagRegistry {
                 owner: "KernelConfig",
                 default: "wide",
                 doc: "Set to reference/ref/scalar to pin the execution-tier \
-                      kernels (XOR + popcount hamming; carry-save majority \
-                      ripple, fused bind+bundle included) to the scalar \
+                      kernels (XOR + popcount hamming; carry-save majority, \
+                      the word-major record encoding kernel included) to the scalar \
                       reference tier instead of the wide-lane tier; both tiers \
                       are bit-identical.",
                 raw: std::env::var(KERNEL_TIER_ENV_VAR).ok(),

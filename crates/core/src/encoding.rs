@@ -17,19 +17,22 @@
 //! fast path with a bit-identical scalar oracle beside it:
 //!
 //! * **fast** ([`Encoder::encode`]): each feature's bind happens inside
-//!   the bundle. The bit-sliced carry-save majority kernel
-//!   ([`hypervector::CarrySaveMajority::add_xor_words`]) adds
-//!   `B_k ⊕ L(f_k)` word by word without materializing the bound vector,
-//!   so nothing but the two codebooks is stored and no feature allocates.
-//!   That is amortized `O(F)` word ops per 64-dimension word instead of
-//!   the scalar loop's `O(64·F)`.
+//!   the bundle, and the bundle is *word-major*. One call to the
+//!   bit-sliced kernel ([`hypervector::bitslice::bind_majority`]) takes
+//!   every feature's `B_k ⊕ L(f_k)` one 8-word block at a time, counts
+//!   them into a stack-resident carry-save counter and thresholds the
+//!   block before moving on. No bound vector is materialized, nothing but
+//!   the two codebooks is stored, and an encode allocates only the list of
+//!   bound pairs and the output. That is a few word ops per feature per
+//!   64-dimension word (DESIGN.md §11), instead of the scalar loop's
+//!   `O(64·F)`.
 //! * **reference** ([`RecordEncoder::encode_reference`]): the original
 //!   per-feature bind into a scalar [`BundleAccumulator`], kept as the
 //!   semantic definition the differential suite compares against.
 
 use crate::config::HdcConfig;
 use hypervector::random::HypervectorSampler;
-use hypervector::{BinaryHypervector, BundleAccumulator, CarrySaveMajority, PackedBits};
+use hypervector::{bitslice, BinaryHypervector, BundleAccumulator, PackedBits};
 
 /// A mapping from raw features in `[0, 1]^n` to binary hypervectors.
 ///
@@ -181,14 +184,18 @@ impl Encoder for RecordEncoder {
     // audit:allow(panic): level_index is clamped to the level table
     fn encode(&self, features: &[f64]) -> BinaryHypervector {
         self.check_features(features);
-        // One fused bind + carry-save add per feature: no bound vector, no
-        // per-feature allocation.
-        let mut acc = CarrySaveMajority::new(self.dim);
-        for (base, &value) in self.bases.iter().zip(features) {
-            let level = &self.levels[self.level_index(value)];
-            acc.add_xor_words(base.bits().words(), level.bits().words());
-        }
-        acc.to_binary()
+        // Name each feature's bound pair once; the word-major kernel binds
+        // and counts all of them block by block, with no bound vector.
+        let pairs: Vec<(&[u64], &[u64])> = self
+            .bases
+            .iter()
+            .zip(features)
+            .map(|(base, &value)| {
+                let level = &self.levels[self.level_index(value)];
+                (base.bits().words(), level.bits().words())
+            })
+            .collect();
+        bitslice::bind_majority(self.dim, &pairs)
     }
 }
 

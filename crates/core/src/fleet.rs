@@ -463,7 +463,7 @@ impl ModelRegistry {
         if self.tenants.contains_key(id) {
             return Err(FleetError::DuplicateModel(id.to_owned()));
         }
-        let saved = persist::load_model(bytes.as_slice())?;
+        let saved = persist::decode_model(&bytes)?;
         let image = self.intern_image(bytes);
         self.clock += 1;
         self.tenants.insert(
@@ -832,7 +832,7 @@ impl ModelRegistry {
                     tenant.features,
                 )
             };
-            let saved = persist::load_model(image.as_slice())?;
+            let saved = persist::decode_model(&image)?;
             let encoder = self.encoder_for(&hdc, features);
             let model = saved.model;
             // Prime the fused class-major arena now so the first query

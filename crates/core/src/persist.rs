@@ -227,78 +227,90 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    reader.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    reader.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Deserializes a pipeline saved by [`save_model`].
+/// Deserializes a pipeline saved by [`save_model`] from a reader: reads
+/// the whole image, then decodes it with [`decode_model`].
 ///
-/// A `&mut` reference can be passed as the reader.
-///
-/// For `RHD2` files the trailing CRC32 is verified over the whole body
-/// *before* any field is interpreted, so a corrupted checkpoint always
-/// surfaces as [`LoadModelError::ChecksumMismatch`] rather than as a
-/// downstream parse error. Legacy `RHD1` files carry no checksum and are
-/// parsed as-is.
+/// A `&mut` reference can be passed as the reader. Callers that already
+/// hold the bytes should call [`decode_model`] and skip the copy.
 ///
 /// # Errors
 ///
 /// Returns [`LoadModelError`] on bad magic, checksum mismatch, truncated
 /// or structurally invalid contents, or I/O failure.
 pub fn load_model<R: Read>(mut reader: R) -> Result<SavedPipeline, LoadModelError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    decode_model(&bytes)
+}
+
+/// Decodes a pipeline image saved by [`save_model`] from borrowed bytes.
+///
+/// For `RHD2` images the trailing CRC32 is verified over the whole body
+/// *before* any field is interpreted, so a corrupted checkpoint always
+/// surfaces as [`LoadModelError::ChecksumMismatch`] rather than as a
+/// downstream parse error. Legacy `RHD1` images carry no checksum and are
+/// parsed as-is.
+///
+/// # Errors
+///
+/// Returns [`LoadModelError`] on bad magic, checksum mismatch, or
+/// truncated or structurally invalid contents (a truncated legacy image
+/// or a missing magic is an [`io::ErrorKind::UnexpectedEof`] error).
+pub fn decode_model(bytes: &[u8]) -> Result<SavedPipeline, LoadModelError> {
+    let mut rest = bytes;
+    let magic = take::<4>(&mut rest)?;
     if &magic == MAGIC_V1 {
-        return parse_body(&mut reader);
+        return parse_body(&mut rest);
     }
     if &magic != MAGIC_V2 {
         return Err(LoadModelError::BadMagic);
     }
-    let mut rest = Vec::new();
-    reader.read_to_end(&mut rest)?;
-    if rest.len() < 4 {
+    let Some((mut body, crc_bytes)) = rest.split_last_chunk::<4>() else {
         return Err(LoadModelError::Corrupt(
             "file too short to hold a checksum".to_string(),
         ));
-    }
-    let (body, crc_bytes) = rest.split_at(rest.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")); // audit:allow(panic): split_at leaves exactly 4 bytes
+    };
+    let stored = u32::from_le_bytes(*crc_bytes);
     let computed = crc32(body);
     if stored != computed {
         return Err(LoadModelError::ChecksumMismatch { stored, computed });
     }
-    let mut body_reader = body;
-    let pipeline = parse_body(&mut body_reader)?;
-    if !body_reader.is_empty() {
+    let pipeline = parse_body(&mut body)?;
+    if !body.is_empty() {
         return Err(LoadModelError::Corrupt(format!(
             "{} trailing bytes after class vectors",
-            body_reader.len()
+            body.len()
         )));
     }
     Ok(pipeline)
 }
 
-/// Parses the version-independent header + class words.
-fn parse_body<R: Read>(reader: &mut R) -> Result<SavedPipeline, LoadModelError> {
-    let features = read_u32(reader)? as usize;
-    let dimension = read_u64(reader)? as usize;
-    let levels = read_u64(reader)? as usize;
-    let level_correlation = read_u64(reader)? as usize;
-    let retrain_epochs = read_u64(reader)? as usize;
-    let seed = read_u64(reader)?;
-    let softmax_beta = f64::from_le_bytes({
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        buf
-    });
+/// Splits the first `N` bytes off `cursor`.
+fn take<const N: usize>(cursor: &mut &[u8]) -> Result<[u8; N], LoadModelError> {
+    let Some((head, rest)) = cursor.split_first_chunk::<N>() else {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    };
+    *cursor = rest;
+    Ok(*head)
+}
+
+fn take_u32(cursor: &mut &[u8]) -> Result<u32, LoadModelError> {
+    take(cursor).map(u32::from_le_bytes)
+}
+
+fn take_u64(cursor: &mut &[u8]) -> Result<u64, LoadModelError> {
+    take(cursor).map(u64::from_le_bytes)
+}
+
+/// Parses the version-independent header + class words off `cursor`.
+fn parse_body(cursor: &mut &[u8]) -> Result<SavedPipeline, LoadModelError> {
+    let features = take_u32(cursor)? as usize;
+    let dimension = take_u64(cursor)? as usize;
+    let levels = take_u64(cursor)? as usize;
+    let level_correlation = take_u64(cursor)? as usize;
+    let retrain_epochs = take_u64(cursor)? as usize;
+    let seed = take_u64(cursor)?;
+    let softmax_beta = f64::from_le_bytes(take(cursor)?);
     // Guard against absurd sizes before allocating.
     if features == 0 || features > 1 << 24 {
         return Err(LoadModelError::Corrupt(format!(
@@ -319,22 +331,28 @@ fn parse_body<R: Read>(reader: &mut R) -> Result<SavedPipeline, LoadModelError> 
         .softmax_beta(softmax_beta)
         .build()
         .map_err(|e| LoadModelError::Corrupt(e.to_string()))?;
-    let classes = read_u32(reader)? as usize;
+    let classes = take_u32(cursor)? as usize;
     if classes == 0 || classes > 1 << 16 {
         return Err(LoadModelError::Corrupt(format!(
             "implausible class count {classes}"
         )));
     }
-    let words_per_class = dimension.div_ceil(64);
-    let mut class_vectors = Vec::with_capacity(classes);
-    for _ in 0..classes {
-        let mut bits = PackedBits::zeros(dimension);
-        for word_idx in 0..words_per_class {
-            bits.words_mut()[word_idx] = read_u64(reader)?; // audit:allow(panic): bits was sized to words_per_class
-        }
-        bits.mask_tail();
-        class_vectors.push(BinaryHypervector::from_bits(bits));
-    }
+    let class_bytes = dimension.div_ceil(64) * 8;
+    let Some((words, rest)) = cursor.split_at_checked(classes * class_bytes) else {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    };
+    *cursor = rest;
+    let class_vectors = words
+        .chunks_exact(class_bytes)
+        .map(|class| {
+            let mut bits = PackedBits::zeros(dimension);
+            for (word, le) in bits.words_mut().iter_mut().zip(class.as_chunks::<8>().0) {
+                *word = u64::from_le_bytes(*le);
+            }
+            bits.mask_tail();
+            BinaryHypervector::from_bits(bits)
+        })
+        .collect();
     Ok(SavedPipeline {
         config,
         features,

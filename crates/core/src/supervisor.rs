@@ -747,7 +747,7 @@ impl ResilienceSupervisor {
             .checkpoint
             .as_ref()
             .expect("rollback needs a checkpoint"); // audit:allow(panic): the supervisor checkpoints before any rollback
-        let saved = persist::load_model(bytes.as_slice())
+        let saved = persist::decode_model(bytes)
             .expect("healthy checkpoint failed its checksum — checkpoint memory corrupted"); // audit:allow(panic): corrupted checkpoint memory is unrecoverable by design
         *model = saved.model;
         self.failed_rounds = 0;

@@ -14,7 +14,7 @@
 use hypervector::random::HypervectorSampler;
 use hypervector::similarity::{chunked_hamming, PackedClasses};
 use hypervector::tier::{self, KernelTier};
-use hypervector::BinaryHypervector;
+use hypervector::{BinaryHypervector, BundleAccumulator};
 use robusthd::{KernelConfig, TrainedModel};
 
 /// Dimensions straddling the word boundary and the 8-word block boundary.
@@ -176,6 +176,7 @@ fn planes_via(tier: KernelTier, inputs: &[BinaryHypervector], words: usize) -> V
 
 #[test]
 fn tiers_agree_on_majority_ripple_planes() {
+    const TIE_PARITY: u64 = 0x5555_5555_5555_5555;
     let mut sampler = HypervectorSampler::seed_from(807);
     for &dim in &[63usize, 65, 511, 512, 513, 1025] {
         for count in [1usize, 2, 7, 64, 129] {
@@ -185,25 +186,33 @@ fn tiers_agree_on_majority_ripple_planes() {
             let wide = planes_via(KernelTier::Wide, &inputs, words);
             assert_eq!(wide, reference, "dim={dim} count={count}");
 
-            // Fused xor-add path: pair each input with a rolling key.
+            // Word-major fused bind+bundle: bind each input to a key and
+            // take the majority in one call, checked against binding and
+            // bundling one vector at a time.
             let key = sampler.binary(dim);
-            let mut ref_xor = vec![vec![0u64; words]; 12];
-            let mut wide_xor = vec![vec![0u64; words]; 12];
+            let pairs: Vec<(&[u64], &[u64])> = inputs
+                .iter()
+                .map(|hv| (hv.bits().words(), key.bits().words()))
+                .collect();
+            let tie_mask = if count.is_multiple_of(2) {
+                TIE_PARITY
+            } else {
+                0
+            };
+            let mut ref_bound = vec![0u64; words];
+            let mut wide_bound = vec![0u64; words];
+            tier::bind_majority_words(KernelTier::Reference, &pairs, tie_mask, &mut ref_bound);
+            tier::bind_majority_words(KernelTier::Wide, &pairs, tie_mask, &mut wide_bound);
+            assert_eq!(wide_bound, ref_bound, "bind dim={dim} count={count}");
+            let mut oracle = BundleAccumulator::new(dim);
             for hv in &inputs {
-                tier::ripple_add_xor(
-                    KernelTier::Reference,
-                    &mut ref_xor,
-                    hv.bits().words(),
-                    key.bits().words(),
-                );
-                tier::ripple_add_xor(
-                    KernelTier::Wide,
-                    &mut wide_xor,
-                    hv.bits().words(),
-                    key.bits().words(),
-                );
+                oracle.add(&hv.bind(&key));
             }
-            assert_eq!(wide_xor, ref_xor, "xor dim={dim} count={count}");
+            assert_eq!(
+                ref_bound,
+                oracle.to_binary().bits().words(),
+                "bind dim={dim} count={count}"
+            );
         }
     }
 }

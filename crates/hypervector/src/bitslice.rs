@@ -25,6 +25,14 @@
 //! The property suite (`tests/bitslice_props.rs`) proves the equivalence
 //! across dimensions, feature counts, and tie patterns.
 //!
+//! [`CarrySaveMajority`] is the *incremental* form — it keeps whole-vector
+//! planes between adds, which training's bundles need. When every input
+//! is known up front, as the bound pairs `B_k ⊕ L(f_k)` of one record
+//! encoding are, [`bind_majority`] is the *one-shot* form: it binds and
+//! counts every pair of one 8-word block into a stack-resident counter and
+//! thresholds the block at once (word-major), so no plane is allocated and
+//! the counts never leave L1.
+//!
 //! # Example
 //!
 //! ```
@@ -122,22 +130,6 @@ impl CarrySaveMajority {
         crate::tier::ripple_add(crate::tier::active(), &mut self.planes, hv.bits().words());
     }
 
-    /// Bundles the XOR (bind) of two packed word images without
-    /// materializing the bound vector — the scratch-free fused bind+bundle
-    /// every record encoding runs once per feature
-    /// (`robusthd::RecordEncoder::encode`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice does not hold exactly `dim().div_ceil(64)`
-    /// words.
-    pub fn add_xor_words(&mut self, a: &[u64], b: &[u64]) {
-        assert_eq!(a.len(), self.words, "word count mismatch in add_xor_words");
-        assert_eq!(b.len(), self.words, "word count mismatch in add_xor_words");
-        self.grow_for_add();
-        crate::tier::ripple_add_xor(crate::tier::active(), &mut self.planes, a, b);
-    }
-
     /// Adds each dimension's *bipolar* count — `2·ones − added`, i.e. +1
     /// per bundled one-bit and −1 per bundled zero-bit — into `counts`.
     ///
@@ -225,6 +217,54 @@ pub fn majority(inputs: &[&BinaryHypervector]) -> BinaryHypervector {
     acc.to_binary()
 }
 
+/// Majority-bundles the bound pairs `a_k ⊕ b_k` of packed word images in
+/// one word-major pass, bit-identical to adding every `a_k.bind(b_k)` to a
+/// [`crate::BundleAccumulator`] and thresholding with `to_binary` — the
+/// one-shot fused bind+bundle every record encoding runs
+/// (`robusthd::RecordEncoder::encode`).
+///
+/// Unlike [`CarrySaveMajority`], nothing is kept between calls: the
+/// kernel ([`crate::tier::bind_majority_words`]) counts every pair of one
+/// 8-word block into a stack-resident counter and thresholds the block at
+/// once, so the output vector is the only allocation.
+///
+/// # Panics
+///
+/// Panics if any slice does not hold exactly `dim.div_ceil(64)` words.
+///
+/// # Example
+///
+/// ```
+/// use hypervector::{bitslice, BundleAccumulator, random::HypervectorSampler};
+///
+/// let mut sampler = HypervectorSampler::seed_from(5);
+/// let keys: Vec<_> = (0..6).map(|_| sampler.binary(300)).collect();
+/// let values: Vec<_> = (0..6).map(|_| sampler.binary(300)).collect();
+/// let pairs: Vec<(&[u64], &[u64])> = keys
+///     .iter()
+///     .zip(&values)
+///     .map(|(k, v)| (k.bits().words(), v.bits().words()))
+///     .collect();
+///
+/// let mut reference = BundleAccumulator::new(300);
+/// for (k, v) in keys.iter().zip(&values) {
+///     reference.add(&k.bind(v));
+/// }
+/// assert_eq!(bitslice::bind_majority(300, &pairs), reference.to_binary());
+/// ```
+pub fn bind_majority(dim: usize, pairs: &[(&[u64], &[u64])]) -> BinaryHypervector {
+    let tie_mask = if pairs.len().is_multiple_of(2) {
+        TIE_PARITY
+    } else {
+        0
+    };
+    let mut bits = PackedBits::zeros(dim);
+    crate::tier::bind_majority_words(crate::tier::active(), pairs, tie_mask, bits.words_mut());
+    // An empty pair list ties every dimension, ghost bits included.
+    bits.mask_tail();
+    BinaryHypervector::from_bits(bits)
+}
+
 impl fmt::Debug for CarrySaveMajority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -293,16 +333,24 @@ mod tests {
     }
 
     #[test]
-    fn add_xor_words_fuses_bind() {
+    fn bind_majority_fuses_bind() {
         let mut s = HypervectorSampler::seed_from(4);
-        let pairs: Vec<_> = (0..9).map(|_| (s.binary(200), s.binary(200))).collect();
-        let mut fused = CarrySaveMajority::new(200);
-        let mut reference = BundleAccumulator::new(200);
-        for (a, b) in &pairs {
-            fused.add_xor_words(a.bits().words(), b.bits().words());
-            reference.add(&a.bind(b));
+        for count in [0usize, 1, 2, 9, 10] {
+            let pairs: Vec<_> = (0..count).map(|_| (s.binary(200), s.binary(200))).collect();
+            let words: Vec<(&[u64], &[u64])> = pairs
+                .iter()
+                .map(|(a, b)| (a.bits().words(), b.bits().words()))
+                .collect();
+            let mut reference = BundleAccumulator::new(200);
+            for (a, b) in &pairs {
+                reference.add(&a.bind(b));
+            }
+            assert_eq!(
+                bind_majority(200, &words),
+                reference.to_binary(),
+                "count={count}"
+            );
         }
-        assert_eq!(fused.to_binary(), reference.to_binary());
     }
 
     #[test]
@@ -332,7 +380,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "word count mismatch")]
-    fn add_xor_words_rejects_short_slice() {
-        CarrySaveMajority::new(130).add_xor_words(&[0u64; 3], &[0u64; 2]);
+    fn bind_majority_rejects_short_slice() {
+        bind_majority(130, &[(&[0u64; 3][..], &[0u64; 2][..])]);
     }
 }

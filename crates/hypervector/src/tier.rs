@@ -4,8 +4,9 @@
 //! The paper's DPIM argument is that HDC wins when the hardware executes
 //! wide bitwise operations in parallel; this module is the software half
 //! of that claim. Every hot kernel — XOR+popcount distance (family 1) and
-//! the carry-save majority ripple that encoding binds and bundles through
-//! (family 2) — exists in two *bit-identical* execution tiers:
+//! the carry-save majority that training bundles through and record
+//! encoding binds and bundles through (family 2) — exists in two
+//! *bit-identical* execution tiers:
 //!
 //! * [`KernelTier::Reference`] — the scalar one-`u64`-at-a-time loops the
 //!   rest of the crate documents. These are the semantic definition.
@@ -126,18 +127,14 @@ fn hamming_reference(a: &[u64], b: &[u64]) -> usize {
 /// AVX2 register without requiring either.
 const HS_LANES: usize = 4;
 
-/// Lane-wise carry-save adder over [`HS_LANES`]-lane bundles: applies
-/// [`csa`] independently per lane, returning `(sum, carry)` bundles.
+/// Lane-wise carry-save adder over `N`-lane bundles: applies [`csa`]
+/// independently per lane, returning `(sum, carry)` bundles.
 #[inline]
-// audit:allow(panic): lane ids range over the fixed HS_LANES arrays
-fn csa_lanes(
-    a: &[u64; HS_LANES],
-    b: &[u64; HS_LANES],
-    c: &[u64; HS_LANES],
-) -> ([u64; HS_LANES], [u64; HS_LANES]) {
-    let mut sum = [0u64; HS_LANES];
-    let mut carry = [0u64; HS_LANES];
-    for lane in 0..HS_LANES {
+// audit:allow(panic): lane ids range over the fixed N-lane arrays
+fn csa_lanes<const N: usize>(a: &[u64; N], b: &[u64; N], c: &[u64; N]) -> ([u64; N], [u64; N]) {
+    let mut sum = [0u64; N];
+    let mut carry = [0u64; N];
+    for lane in 0..N {
         let partial = a[lane] ^ b[lane];
         sum[lane] = partial ^ c[lane];
         carry[lane] = (a[lane] & b[lane]) | (partial & c[lane]);
@@ -335,39 +332,22 @@ pub fn hamming_all_into_words(
     }
 }
 
-/// Scalar ripple-carry increment of the bit-sliced planes at word `w` by
-/// the carry word `carry`.
+/// Ripple-carry increment of one `N`-word counter group by `carry`, all
+/// lanes in lockstep: `planes` yields the counter's bit-plane groups,
+/// least significant first. A lane whose carry is exhausted rides along
+/// as a no-op (`t ^ 0 == t`), so the group early-outs only when *every*
+/// lane's carry is spent — bit-identical to rippling each lane
+/// independently. `N = 1` is the `Reference` tier's scalar ripple;
+/// `N = BLOCK_WORDS` the `Wide` tier's block ripple.
 #[inline]
-// audit:allow(panic): documented panic: planes must cover word w
-fn ripple_word(planes: &mut [Vec<u64>], w: usize, mut carry: u64) {
-    for plane in planes.iter_mut() {
-        if carry == 0 {
+fn ripple_lanes<'a, const N: usize>(
+    planes: impl IntoIterator<Item = &'a mut [u64; N]>,
+    carry: &mut [u64; N],
+) {
+    for lane in planes {
+        if carry.iter().fold(0, |any, &c| any | c) == 0 {
             break;
         }
-        let t = plane[w];
-        plane[w] = t ^ carry;
-        carry &= t;
-    }
-    debug_assert_eq!(carry, 0, "carry overflow: planes undersized");
-}
-
-/// Wide ripple-carry increment of one [`BLOCK_WORDS`]-word block of the
-/// planes starting at word `base`, carrying all lanes in lockstep. A
-/// lane whose carry is exhausted rides along as a no-op (`t ^ 0 == t`),
-/// so the block early-outs only when *every* lane's carry is spent —
-/// bit-identical to rippling each lane independently.
-#[inline]
-// audit:allow(panic): documented panic: planes must cover the block span
-fn ripple_block(planes: &mut [Vec<u64>], base: usize, carry: &mut [u64; BLOCK_WORDS]) {
-    for plane in planes.iter_mut() {
-        let mut any = 0u64;
-        for &c in carry.iter() {
-            any |= c;
-        }
-        if any == 0 {
-            break;
-        }
-        let lane = &mut plane[base..base + BLOCK_WORDS];
         for (c, t) in carry.iter_mut().zip(lane.iter_mut()) {
             let prev = *t;
             *t = prev ^ *c;
@@ -384,62 +364,31 @@ fn ripple_block(planes: &mut [Vec<u64>], base: usize, carry: &mut [u64; BLOCK_WO
 /// packed word image (kernel family 2: the `CarrySaveMajority` add).
 /// Callers guarantee the planes are deep enough for the new counts, as
 /// `CarrySaveMajority::grow_for_add` does.
-// audit:allow(panic): block bases come from chunks_exact over src
-pub fn ripple_add(tier: KernelTier, planes: &mut [Vec<u64>], src: &[u64]) {
-    match tier {
-        KernelTier::Reference => {
-            for (w, &word) in src.iter().enumerate() {
-                ripple_word(planes, w, word);
-            }
-        }
-        KernelTier::Wide => {
-            let full = src.len() - src.len() % BLOCK_WORDS;
-            let mut carry = [0u64; BLOCK_WORDS];
-            for (blk, chunk) in src[..full].chunks_exact(BLOCK_WORDS).enumerate() {
-                carry.copy_from_slice(chunk);
-                ripple_block(planes, blk * BLOCK_WORDS, &mut carry);
-            }
-            for (w, &word) in src.iter().enumerate().skip(full) {
-                ripple_word(planes, w, word);
-            }
-        }
-    }
-}
-
-/// [`ripple_add`] of `a ^ b` without materializing the bound vector
-/// (kernel family 2: the fused bind+bundle under
-/// `CarrySaveMajority::add_xor_words`, which every record encoding runs
-/// once per feature).
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ.
-// audit:allow(panic): block bases come from chunks_exact over the xored input
-pub fn ripple_add_xor(tier: KernelTier, planes: &mut [Vec<u64>], a: &[u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "word count mismatch in ripple_add_xor");
-    match tier {
-        KernelTier::Reference => {
-            for (w, (&x, &y)) in a.iter().zip(b).enumerate() {
-                ripple_word(planes, w, x ^ y);
-            }
-        }
-        KernelTier::Wide => {
-            let full = a.len() - a.len() % BLOCK_WORDS;
-            let mut carry = [0u64; BLOCK_WORDS];
-            for (blk, (ca, cb)) in a[..full]
-                .chunks_exact(BLOCK_WORDS)
-                .zip(b[..full].chunks_exact(BLOCK_WORDS))
-                .enumerate()
-            {
-                for ((c, &x), &y) in carry.iter_mut().zip(ca).zip(cb) {
-                    *c = x ^ y;
-                }
-                ripple_block(planes, blk * BLOCK_WORDS, &mut carry);
-            }
-            for (w, (&x, &y)) in a.iter().zip(b).enumerate().skip(full) {
-                ripple_word(planes, w, x ^ y);
-            }
-        }
+/// Panics if any plane holds fewer words than `src`.
+// audit:allow(panic): documented panic: every plane must cover src
+pub fn ripple_add(tier: KernelTier, planes: &mut [Vec<u64>], src: &[u64]) {
+    let full = match tier {
+        KernelTier::Reference => 0,
+        KernelTier::Wide => src.len() - src.len() % BLOCK_WORDS,
+    };
+    let (head, tail) = src.split_at(full);
+    for (blk, chunk) in head.as_chunks::<BLOCK_WORDS>().0.iter().enumerate() {
+        let mut carry = *chunk;
+        ripple_lanes(
+            planes.iter_mut().map(|p| &mut p.as_chunks_mut().0[blk]),
+            &mut carry,
+        );
+    }
+    for (w, &word) in tail.iter().enumerate() {
+        ripple_lanes(
+            planes
+                .iter_mut()
+                .map(|p| &mut p.as_chunks_mut().0[full + w]),
+            &mut [word],
+        );
     }
 }
 
@@ -493,6 +442,30 @@ pub fn bipolar_accumulate(tier: KernelTier, planes: &[Vec<u64>], added: i64, cou
     }
 }
 
+/// MSB-first magnitude comparison of one `N`-word counter group against
+/// the constant `half`, all lanes in lockstep: `planes` yields the
+/// counter's bit-plane groups, least significant first. Each result word
+/// is `gt | (eq & tie_mask)`, where `gt`/`eq` mark the lanes whose count
+/// exceeds/equals `half`.
+#[inline]
+// audit:allow(panic): lane ids range over the fixed N-word arrays
+fn threshold_lanes<'a, const N: usize>(
+    planes: impl DoubleEndedIterator<Item = &'a [u64; N]> + ExactSizeIterator,
+    half: u64,
+    tie_mask: u64,
+) -> [u64; N] {
+    let mut gt = [0u64; N];
+    let mut eq = [!0u64; N];
+    for (j, plane) in planes.enumerate().rev() {
+        let threshold_bit = if (half >> j) & 1 == 1 { !0u64 } else { 0u64 };
+        for k in 0..N {
+            gt[k] |= eq[k] & plane[k] & !threshold_bit;
+            eq[k] &= !(plane[k] ^ threshold_bit);
+        }
+    }
+    std::array::from_fn(|k| gt[k] | (eq[k] & tie_mask))
+}
+
 /// Word-parallel majority threshold of bit-sliced count planes against
 /// the constant `half`, most significant plane first (kernel family 2:
 /// the compare under `CarrySaveMajority::to_binary`). Each output word
@@ -503,7 +476,7 @@ pub fn bipolar_accumulate(tier: KernelTier, planes: &[Vec<u64>], added: i64, cou
 /// # Panics
 ///
 /// Panics if any plane holds fewer words than `out`.
-// audit:allow(panic): plane spans follow out.len(); documented panic on short planes
+// audit:allow(panic): documented panic: every plane must cover out
 pub fn threshold_words(
     tier: KernelTier,
     planes: &[Vec<u64>],
@@ -511,50 +484,137 @@ pub fn threshold_words(
     tie_mask: u64,
     out: &mut [u64],
 ) {
-    match tier {
-        KernelTier::Reference => {
-            for (w, o) in out.iter_mut().enumerate() {
-                let mut gt = 0u64;
-                let mut eq = !0u64;
-                for j in (0..planes.len()).rev() {
-                    let plane = planes[j][w];
-                    let threshold_bit = if (half >> j) & 1 == 1 { !0u64 } else { 0u64 };
-                    gt |= eq & plane & !threshold_bit;
-                    eq &= !(plane ^ threshold_bit);
-                }
-                *o = gt | (eq & tie_mask);
-            }
+    let full = match tier {
+        KernelTier::Reference => 0,
+        KernelTier::Wide => out.len() - out.len() % BLOCK_WORDS,
+    };
+    let (head, tail) = out.split_at_mut(full);
+    for (blk, o) in head.as_chunks_mut().0.iter_mut().enumerate() {
+        *o = threshold_lanes::<BLOCK_WORDS>(
+            planes.iter().map(|p| &p.as_chunks().0[blk]),
+            half,
+            tie_mask,
+        );
+    }
+    for (w, o) in tail.iter_mut().enumerate() {
+        [*o] = threshold_lanes::<1>(
+            planes.iter().map(|p| &p.as_chunks().0[full + w]),
+            half,
+            tie_mask,
+        );
+    }
+}
+
+/// Counter planes the word-major record kernel can ever need: counts up
+/// to `usize::MAX` fit in `usize::BITS` bits.
+const MAX_PLANES: usize = usize::BITS as usize;
+
+/// Counter planes that cover every record of up to 65 535 features: the
+/// kernel zeroes a counter of this depth on the stack, and only a larger
+/// record pays to zero one of [`MAX_PLANES`].
+const COMMON_PLANES: usize = 16;
+
+/// One bound pair `(a_k, b_k)` of packed word images.
+type BoundPair<'a> = (&'a [u64], &'a [u64]);
+
+/// Binds, counts and thresholds the `N`-word group `at` (words
+/// `at·N .. at·N + N`) of every bound pair — one step of
+/// [`bind_majority_words`]. `planes` is the stack-resident counter, of
+/// `bit_length(pairs.len())` planes; it is zeroed first.
+///
+/// Eight pairs at a time go through a Harley–Seal carry-save tree into
+/// the three lowest planes (`ones`, `twos`, `fours`), and the tree's
+/// weight-8 carry ripples into the planes above; the last
+/// `pairs.len() % 8` pairs ripple in one at a time.
+#[inline]
+// audit:allow(panic): callers check every operand covers group at; tree ids are constants
+fn bind_majority_lanes<const N: usize>(
+    pairs: &[BoundPair<'_>],
+    at: usize,
+    planes: &mut [[u64; N]],
+    half: u64,
+    tie_mask: u64,
+) -> [u64; N] {
+    let bound = |(a, b): &BoundPair<'_>| -> [u64; N] {
+        let (a, b) = (&a.as_chunks::<N>().0[at], &b.as_chunks::<N>().0[at]);
+        std::array::from_fn(|k| a[k] ^ b[k])
+    };
+    planes.fill([0; N]);
+    let (octets, rest) = pairs.as_chunks::<8>();
+    if let [ones, twos, fours, upper @ ..] = planes {
+        for octet in octets {
+            let x = octet.each_ref().map(bound);
+            let (o, twos_a) = csa_lanes(ones, &x[0], &x[1]);
+            let (o, twos_b) = csa_lanes(&o, &x[2], &x[3]);
+            let (t, fours_a) = csa_lanes(twos, &twos_a, &twos_b);
+            let (o, twos_a) = csa_lanes(&o, &x[4], &x[5]);
+            let (o, twos_b) = csa_lanes(&o, &x[6], &x[7]);
+            let (t, fours_b) = csa_lanes(&t, &twos_a, &twos_b);
+            let (f, mut eights) = csa_lanes(fours, &fours_a, &fours_b);
+            (*ones, *twos, *fours) = (o, t, f);
+            ripple_lanes(upper.iter_mut(), &mut eights);
         }
-        KernelTier::Wide => {
-            let full = out.len() - out.len() % BLOCK_WORDS;
-            for (blk, chunk) in out[..full].chunks_exact_mut(BLOCK_WORDS).enumerate() {
-                let base = blk * BLOCK_WORDS;
-                let mut gt = [0u64; BLOCK_WORDS];
-                let mut eq = [!0u64; BLOCK_WORDS];
-                for j in (0..planes.len()).rev() {
-                    let plane = &planes[j][base..base + BLOCK_WORDS];
-                    let threshold_bit = if (half >> j) & 1 == 1 { !0u64 } else { 0u64 };
-                    for k in 0..BLOCK_WORDS {
-                        gt[k] |= eq[k] & plane[k] & !threshold_bit;
-                        eq[k] &= !(plane[k] ^ threshold_bit);
-                    }
-                }
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    *o = gt[k] | (eq[k] & tie_mask);
-                }
-            }
-            for (w, o) in out.iter_mut().enumerate().skip(full) {
-                let mut gt = 0u64;
-                let mut eq = !0u64;
-                for j in (0..planes.len()).rev() {
-                    let plane = planes[j][w];
-                    let threshold_bit = if (half >> j) & 1 == 1 { !0u64 } else { 0u64 };
-                    gt |= eq & plane & !threshold_bit;
-                    eq &= !(plane ^ threshold_bit);
-                }
-                *o = gt | (eq & tie_mask);
-            }
-        }
+    }
+    for pair in rest {
+        ripple_lanes(planes.iter_mut(), &mut bound(pair));
+    }
+    threshold_lanes(planes.iter(), half, tie_mask)
+}
+
+/// Fused bind + majority bundle of a whole record (kernel family 2: the
+/// record encoder, under `bitslice::bind_majority`). Output word `w` is
+/// the lane-wise majority of `a_k[w] ^ b_k[w]` over every pair
+/// `(a_k, b_k)`: a lane becomes 1 when its count exceeds
+/// `pairs.len() / 2`, and an exact tie (even pair counts only) takes
+/// `tie_mask`'s bit. Callers pass the parity tie mask (or 0) and re-mask
+/// the tail themselves, as for [`threshold_words`].
+///
+/// The loop is *word-major*: for each [`BLOCK_WORDS`]-word block (in the
+/// `Reference` tier, each word) every pair is XORed and counted into a
+/// stack-resident bit-sliced counter of `bit_length(pairs.len())` planes
+/// — eight pairs at a time through a carry-save tree, whose carry ripples
+/// up with the all-lanes early-out — and the block is thresholded before
+/// the next one starts. Nothing is allocated and the counter never leaves
+/// L1. The `Wide` tier runs the same steps over whole blocks; a partial
+/// last block goes word by word.
+///
+/// # Panics
+///
+/// Panics if any operand's length differs from `out.len()`.
+// audit:allow(panic): depth is bit_length(pairs.len()), at most MAX_PLANES
+pub fn bind_majority_words(
+    tier: KernelTier,
+    pairs: &[(&[u64], &[u64])],
+    tie_mask: u64,
+    out: &mut [u64],
+) {
+    for (a, b) in pairs {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "word count mismatch in bind_majority_words"
+        );
+    }
+    let depth = (usize::BITS - pairs.len().leading_zeros()) as usize;
+    let half = pairs.len() as u64 / 2;
+    let full = match tier {
+        KernelTier::Reference => 0,
+        KernelTier::Wide => out.len() - out.len() % BLOCK_WORDS,
+    };
+    let (head, tail) = out.split_at_mut(full);
+    let mut common = [[0u64; BLOCK_WORDS]; COMMON_PLANES];
+    let mut deep;
+    let planes = if depth <= COMMON_PLANES {
+        &mut common[..depth]
+    } else {
+        deep = [[0u64; BLOCK_WORDS]; MAX_PLANES];
+        &mut deep[..depth]
+    };
+    for (blk, o) in head.as_chunks_mut().0.iter_mut().enumerate() {
+        *o = bind_majority_lanes(pairs, blk, planes, half, tie_mask);
+    }
+    let mut planes = [[0u64; 1]; MAX_PLANES];
+    for (w, o) in tail.iter_mut().enumerate() {
+        [*o] = bind_majority_lanes(pairs, full + w, &mut planes[..depth], half, tie_mask);
     }
 }
 

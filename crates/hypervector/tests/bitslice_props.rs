@@ -120,25 +120,97 @@ fn extreme_inputs_match() {
     }
 }
 
+/// Word slices of bound pairs, the shape `bitslice::bind_majority` takes.
+fn pair_words(pairs: &[(BinaryHypervector, BinaryHypervector)]) -> Vec<(&[u64], &[u64])> {
+    pairs
+        .iter()
+        .map(|(a, b)| (a.bits().words(), b.bits().words()))
+        .collect()
+}
+
+/// Runs the word-major kernel on both tiers and the one-shot entry point,
+/// checks all three agree, and returns the entry point's result.
+fn bind_majority_all_tiers(dim: usize, pairs: &[(&[u64], &[u64])]) -> BinaryHypervector {
+    let fused = bitslice::bind_majority(dim, pairs);
+    let tie_mask = if pairs.len().is_multiple_of(2) {
+        0x5555_5555_5555_5555
+    } else {
+        0
+    };
+    for t in KernelTier::ALL {
+        let mut out = vec![0u64; dim.div_ceil(64)];
+        tier::bind_majority_words(t, pairs, tie_mask, &mut out);
+        // Ghost lanes count 0, below any nonzero half: only an empty
+        // pair list can set them.
+        if !pairs.is_empty() {
+            assert_eq!(out, fused.bits().words(), "tier {} dim={dim}", t.name());
+        }
+    }
+    fused
+}
+
 #[test]
-fn fused_xor_add_equals_bind_then_add() {
+fn fused_bind_majority_equals_bind_then_add() {
+    // Every feature count 1..=257 — odd counts leave the last pair out of
+    // the carry-save tree, even counts tie — on a dimension with one full
+    // 8-word block, a partial last block and a partial last word.
+    let dim = 8 * 64 + 2 * 64 + 5;
     let mut sampler = HypervectorSampler::seed_from(105);
-    for &dim in &[65usize, 193] {
-        for count in [1usize, 7, 33] {
+    let pool: Vec<_> = (0..257)
+        .map(|_| (sampler.binary(dim), sampler.binary(dim)))
+        .collect();
+    let words = pair_words(&pool);
+    let mut reference = BundleAccumulator::new(dim);
+    for (count, (a, b)) in (1..).zip(&pool) {
+        reference.add(&a.bind(b));
+        assert_eq!(
+            bind_majority_all_tiers(dim, &words[..count]),
+            reference.to_binary(),
+            "count={count}"
+        );
+    }
+}
+
+#[test]
+fn fused_bind_majority_matches_across_dimensions() {
+    let mut sampler = HypervectorSampler::seed_from(108);
+    for &dim in DIMS {
+        for count in [0usize, 1, 2, 7, 8, 9, 16, 33] {
             let pairs: Vec<_> = (0..count)
                 .map(|_| (sampler.binary(dim), sampler.binary(dim)))
                 .collect();
             let mut reference = BundleAccumulator::new(dim);
-            let mut fused = CarrySaveMajority::new(dim);
             for (a, b) in &pairs {
                 reference.add(&a.bind(b));
-                fused.add_xor_words(a.bits().words(), b.bits().words());
             }
             assert_eq!(
-                fused.to_binary(),
+                bind_majority_all_tiers(dim, &pair_words(&pairs)),
                 reference.to_binary(),
                 "dim={dim} count={count}"
             );
+        }
+    }
+}
+
+#[test]
+fn fused_bind_majority_all_ties_break_by_parity() {
+    // Each key bound to a value and to its complement: the two bound
+    // vectors are complements, so every dimension ties.
+    let mut sampler = HypervectorSampler::seed_from(109);
+    for &dim in &[65usize, 577, 1000] {
+        for ties in [1usize, 4, 5] {
+            let mut pairs = Vec::new();
+            for _ in 0..ties {
+                let key = sampler.binary(dim);
+                let value = sampler.binary(dim);
+                let flipped = BinaryHypervector::from_fn(dim, |i| !value.get(i));
+                pairs.push((key.clone(), value));
+                pairs.push((key, flipped));
+            }
+            let fused = bind_majority_all_tiers(dim, &pair_words(&pairs));
+            for i in 0..dim {
+                assert_eq!(fused.get(i), i % 2 == 0, "dim={dim} ties={ties} bit {i}");
+            }
         }
     }
 }
@@ -350,20 +422,25 @@ fn block_permutation_never_changes_hamming_all() {
 }
 
 #[test]
-fn interleaved_word_and_vector_adds_match() {
-    // Mixing the add entry points must not perturb the planes.
+fn bind_majority_against_zero_keys_equals_add() {
+    // Binding to an all-zero key is the identity, so the one-shot fused
+    // kernel and the incremental bundler must agree on the same inputs.
     let mut sampler = HypervectorSampler::seed_from(107);
-    let inputs: Vec<_> = (0..21).map(|_| sampler.binary(130)).collect();
-    let mut reference = BundleAccumulator::new(130);
-    let mut fast = CarrySaveMajority::new(130);
     let unbound = BinaryHypervector::zeros(130);
-    for (i, hv) in inputs.iter().enumerate() {
-        reference.add(hv);
-        if i % 2 == 0 {
+    for count in [1usize, 2, 8, 21] {
+        let inputs: Vec<_> = (0..count).map(|_| sampler.binary(130)).collect();
+        let mut fast = CarrySaveMajority::new(130);
+        for hv in &inputs {
             fast.add(hv);
-        } else {
-            fast.add_xor_words(hv.bits().words(), unbound.bits().words());
         }
+        let pairs: Vec<(&[u64], &[u64])> = inputs
+            .iter()
+            .map(|hv| (hv.bits().words(), unbound.bits().words()))
+            .collect();
+        assert_eq!(
+            bitslice::bind_majority(130, &pairs),
+            fast.to_binary(),
+            "count={count}"
+        );
     }
-    assert_eq!(fast.to_binary(), reference.to_binary());
 }

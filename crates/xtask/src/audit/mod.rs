@@ -59,7 +59,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/hypervector/src/tier.rs", "hamming_range_words"),
     ("crates/hypervector/src/tier.rs", "hamming_all_into_words"),
     ("crates/hypervector/src/tier.rs", "ripple_add"),
-    ("crates/hypervector/src/tier.rs", "ripple_add_xor"),
+    ("crates/hypervector/src/tier.rs", "bind_majority_words"),
     ("crates/hypervector/src/tier.rs", "bipolar_accumulate"),
     ("crates/hypervector/src/tier.rs", "threshold_words"),
 ];
