@@ -1,6 +1,8 @@
-//! The subcommands, each a pure function from argv to a text report.
+//! The command table ([`COMMANDS`]) and its subcommands, each a pure
+//! function from parsed options to a text report.
 
-use crate::args::ParsedArgs;
+use crate::args::Opt::{Defaulted, Flag, Optional, Required};
+use crate::args::{Args, Command, Opt};
 use advsim::{AdvSoakConfig, AttackBudget, DisagreementCorpus};
 use baselines::{BitStoredModel, Mlp, MlpConfig};
 use faultsim::{Attacker, ErrorRateSchedule};
@@ -120,47 +122,483 @@ fn train_pipeline(
     })
 }
 
-const GENERATE_HELP: &str = "\
-robusthd generate — write a synthetic stand-in dataset to CSV
+/// The command table, in usage-list order: every subcommand and every
+/// option it accepts, one line per option.
+#[rustfmt::skip]
+pub static COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        summary: "Write a synthetic stand-in dataset to CSV",
+        about: "write a synthetic stand-in dataset to CSV",
+        options: &[&[
+            DATASET,
+            Required("train", "PATH", "output CSV for the training split"),
+            Required("test", "PATH", "output CSV for the test split"),
+            Defaulted("train-size", "N", "1200", "samples in the training split"),
+            Defaulted("test-size", "N", "600", "samples in the test split"),
+            Defaulted("seed", "N", "1", "generation seed"),
+        ]],
+        run: generate,
+    },
+    Command {
+        name: "evaluate",
+        summary: "Train an HDC classifier and report test accuracy",
+        about: "train an HDC classifier on CSV data and report accuracy",
+        options: &[&[
+            Required("train", "PATH", "training CSV (features..., integer label)"),
+            Required("test", "PATH", "test CSV"),
+            Defaulted("dim", "N", "10000", "hypervector dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline seed"),
+        ]],
+        run: evaluate,
+    },
+    Command {
+        name: "train",
+        summary: "Train an HDC pipeline and save it to a model file",
+        about: "train an HDC pipeline on CSV data and save it",
+        options: &[&[
+            Required("train", "PATH", "training CSV (features..., integer label)"),
+            Required("model", "PATH", "output model file"),
+            Defaulted("dim", "N", "10000", "hypervector dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline seed"),
+        ]],
+        run: train,
+    },
+    Command {
+        name: "infer",
+        summary: "Classify CSV samples with a saved model file",
+        about: "load a saved pipeline and classify CSV samples",
+        options: &[&[
+            Required("model", "PATH", "saved model file from `robusthd train`"),
+            Required("input", "PATH", "CSV with features (and a label column, used for scoring)"),
+            Flag("predictions", "also print one predicted label per line"),
+        ]],
+        run: infer,
+    },
+    Command {
+        name: "attack",
+        summary: "Compare HDC and an 8-bit DNN under bit-flip attack",
+        about: "compare HDC and an 8-bit DNN under random bit-flip attack",
+        options: &[&[
+            Required("train", "PATH", "training CSV"),
+            Required("test", "PATH", "test CSV"),
+            Defaulted("rate", "F", "0.1", "fraction of stored model bits to flip"),
+            Defaulted("dim", "N", "10000", "HDC dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline/attack seed"),
+        ]],
+        run: attack,
+    },
+    Command {
+        name: "recover",
+        summary: "Attack an HDC model, then repair it from unlabeled traffic",
+        about: "attack an HDC model, then repair it from unlabeled traffic",
+        options: &[&[
+            Required("train", "PATH", "training CSV"),
+            Required("test", "PATH", "test CSV; also serves as the unlabeled traffic"),
+            Defaulted("rate", "F", "0.1", "fraction of stored model bits to flip"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("passes", "N", "16", "recovery passes over the traffic"),
+            Defaulted("seed", "N", "0", "pipeline/attack seed"),
+        ]],
+        run: recover,
+    },
+    Command {
+        name: "monitor",
+        summary: "Judge a model's health from unlabeled traffic as it corrupts",
+        about: "\
+judge a model's health from unlabeled traffic
 
-OPTIONS:
-    --dataset <NAME>     mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
-    --train <PATH>       output CSV for the training split (required)
-    --test <PATH>        output CSV for the test split (required)
-    --train-size <N>     samples in the training split (default 1200)
-    --test-size <N>      samples in the test split (default 600)
-    --seed <N>           generation seed (default 1)";
+Calibrates on the clean model, re-plays the traffic against an attacked
+copy, and reports the monitor's verdict at each corruption step.",
+        options: &[&[
+            Required("train", "PATH", "training CSV"),
+            Required("traffic", "PATH", "unlabeled traffic CSV (label column present but unused)"),
+            Defaulted("rate", "F", "0.05", "per-step corruption increment"),
+            Defaulted("steps", "N", "5", "corruption steps to simulate"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline/attack seed"),
+        ]],
+        run: monitor,
+    },
+    Command {
+        name: "soak",
+        summary: "Chaos-soak the self-healing serving runtime under an attack campaign",
+        about: "\
+chaos-soak the self-healing serving runtime
+
+Trains a pipeline, calibrates the resilience supervisor on the first half
+of the traffic (retained as canaries), then serves the second half while
+an attack campaign corrupts the stored model between batches. The
+supervisor monitors, repairs at an escalating ladder, checkpoints healthy
+states, and rolls back when recovery keeps failing.",
+        options: &[&[
+            Required("train", "PATH", "training CSV"),
+            Required("traffic", "PATH", "traffic CSV (labels used only to report accuracy)"),
+            Defaulted("steps", "N", "8", "attack-campaign steps"),
+            Defaulted("peak", "F", "0.12", "cumulative corruption rate at the last step"),
+            Flag("burst", "also flip half of every stored word at the midpoint\n\
+                           (a catastrophe that forces escalation and rollback)"),
+            Flag("targeted", "spend the campaign budget on stored-word MSBs first"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline/campaign seed"),
+            Flag("json", "emit the full JSON soak trace instead of a text report"),
+        ]],
+        run: soak,
+    },
+    Command {
+        name: "advsoak",
+        summary: "Joint memory + input adversarial soak with disagreement hunting",
+        about: "\
+joint memory + input adversarial soak
+
+Trains a pipeline, calibrates the resilience supervisor on the first half
+of the traffic (canaries), then serves the second half while an attack
+campaign corrupts stored memory AND a blackbox margin-guided attacker
+perturbs a fraction of the queries inside a hard Hamming budget. Reports
+whether the confidence gate detects the adversarial queries. Also hunts a
+disagreement corpus across model variants (one-shot vs retrained vs
+memory-attacked) that can be persisted and later replayed bit-exactly,
+and sweeps the attacker's Hamming budget (radius 0, 16, 64 and 256,
+candidate width 32) against the clean model on the first 48 traffic
+queries: attack success, detection and blackbox queries per radius.",
+        options: &[&[
+            Required("train", "PATH", "training CSV"),
+            Required("traffic", "PATH", "traffic CSV (labels used only to report accuracy)"),
+            Defaulted("steps", "N", "6", "attack-campaign steps"),
+            Defaulted("peak", "F", "0.08", "cumulative memory corruption at the last step"),
+            Flag("tcam", "derive the memory-corruption schedule from the FeFET/TCAM\n\
+                          retention model (Vth drift) instead of the linear ramp"),
+            Defaulted("horizon", "F", "1e8", "TCAM retention horizon in seconds"),
+            Defaulted("radius", "N", "64", "input-attack Hamming budget per query"),
+            Defaulted("candidates", "N", "64", "candidate bits scored per attack round"),
+            Defaulted("attack-frac", "F", "0.15", "fraction of served queries attacked per step"),
+            Defaulted("trust", "F", "0.45", "confidence trust threshold T_C"),
+            Optional("corpus", "PATH", "persist the disagreement corpus (ADVC1 text) here"),
+            Optional("replay", "PATH", "replay a saved corpus against the rebuilt pipeline and\n\
+                                        report exactness instead of running the soak"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("seed", "N", "0", "pipeline/attack seed"),
+            Flag("json", "emit the full JSON report instead of a text report"),
+        ]],
+        run: advsoak,
+    },
+    Command {
+        name: "paper",
+        summary: "Regenerate the paper's tables and figures (results_standard.txt)",
+        about: "\
+regenerate the paper's tables and figures
+
+Runs the experiment behind each of the paper's artifacts on the synthetic
+stand-in datasets and prints its table under a `== … ==` heading, in the
+layout and order of results_standard.txt, so
+`robusthd paper > results_standard.txt` regenerates the committed record.
+Every experiment is seeded, so the same scale prints the same text.",
+        options: &[&[
+            Optional("only", "NAME", "print one artifact: \
+                                      table1 | table3 | table4 | fig2 | fig3 |\n\
+                                      fig4a | fig4b | ablation (default: all of them)"),
+            Defaulted("scale", "NAME", "standard", "quick | standard | full"),
+        ]],
+        run: paper,
+    },
+    Command {
+        name: "serve",
+        summary: "Run robusthdd, the coalescing NDJSON serving daemon",
+        about: "\
+run robusthdd, the network serving daemon
+
+Trains a pipeline from CSV, calibrates the resilience supervisor on the
+traffic file (its rows become the retained canaries), then listens for
+newline-delimited JSON requests. Concurrent classify requests coalesce
+into micro-batches that drain through the fused batch engine under the
+supervisor — bit-exact with in-process serving. The daemon announces its
+address on stderr, blocks until a client sends {\"type\":\"shutdown\"},
+drains gracefully (every accepted query is answered), and prints the
+final counters.
+
+Protocol (one JSON object per line, unknown fields ignored):
+    {\"type\":\"classify\",\"id\":1,\"features\":[...]}  -> result | overloaded
+    {\"type\":\"stats\"} | {\"type\":\"health\"} | {\"type\":\"ping\"} | {\"type\":\"shutdown\"}",
+        options: &[
+            &[
+                Required("train", "PATH", "training CSV"),
+                Required("traffic", "PATH", "calibration/canary CSV"),
+                Defaulted("addr", "ADDR", "127.0.0.1:7878", "listen address"),
+                Defaulted("dim", "N", "4096", "HDC dimensionality"),
+                Defaulted("seed", "N", "0", "pipeline seed"),
+            ],
+            DAEMON,
+            &[
+                Defaulted("monitor-window", "N", "64", "supervisor verdict window in queries"),
+                Defaulted("checkpoint", "N", "16", "checkpoint every N healthy batches"),
+            ],
+            ENGINE,
+        ],
+        run: serve,
+    },
+    Command {
+        name: "loadgen",
+        summary: "Drive concurrent classify load at a running robusthdd",
+        about: "\
+drive concurrent classify load at a running robusthdd
+
+Connects --clients concurrent NDJSON connections to the daemon, each
+sending --requests classify requests (cycling through the traffic CSV's
+feature rows) with up to --pipeline in flight, and reports latency
+percentiles and throughput. overloaded responses are tallied, not fatal.",
+        options: &[&[
+            Required("addr", "ADDR", "daemon address"),
+            Required("traffic", "PATH", "CSV whose feature rows become query payloads"),
+            Defaulted("clients", "N", "8", "concurrent connections"),
+            Defaulted("requests", "N", "64", "classify requests per connection"),
+            Defaulted("pipeline", "N", "4", "max requests in flight per connection"),
+            Flag("json", "emit one JSON object instead of text"),
+        ]],
+        run: loadgen,
+    },
+    Command {
+        name: "servebench",
+        summary: "Benchmark coalesced vs sequential daemon serving (JSON)",
+        about: "\
+coalesced vs sequential serving benchmark (JSON)
+
+Synthesizes a dataset in-process, trains a pipeline, then runs three
+phases against fresh identically-calibrated daemons on loopback:
+
+    1. bit-exactness  every row served over the wire must match the
+                      reference engine label-for-label and confidence
+                      bit-for-bit (f64::to_bits through the JSON roundtrip)
+    2. sequential     one lockstep client, concurrency*requests queries:
+                      every query pays the canary probe and checkpoint
+                      cadence alone
+    3. coalesced      --concurrency pipelined clients; the coalescer
+                      amortises that per-batch overhead
+
+Emits one JSON object (the BENCH_serve.json body); `speedup` is
+coalesced qps over sequential qps.",
+        options: &[
+            &[
+                DATASET,
+                Defaulted("queries", "N", "256", "distinct benchmark rows"),
+                Defaulted("dim", "N", "2048", "HDC dimensionality"),
+                Defaulted("seed", "N", "0", "pipeline seed"),
+                Defaulted("concurrency", "N", "32", "clients in the coalesced phase"),
+                Defaulted("requests", "N", "32", "requests per client in the coalesced phase"),
+                Defaulted("pipeline", "N", "4", "max in flight per client"),
+            ],
+            DAEMON,
+            &[
+                Defaulted("monitor-window", "N", "64", "supervisor verdict window"),
+                Defaulted("checkpoint", "N", "16", "checkpoint every N healthy batches"),
+                Defaulted("canaries", "N", "128", "retained canary queries"),
+            ],
+            ENGINE,
+        ],
+        run: servebench,
+    },
+    Command {
+        name: "fleetbench",
+        summary: "Benchmark multi-tenant fleet serving under a memory budget (JSON)",
+        about: "\
+multi-tenant fleet serving benchmark (JSON)
+
+Builds a synthetic fleet of per-tenant models in-process and runs four
+phases against a memory-budgeted model registry:
+
+    1. bit-exactness  a mixed-tenant stream under eviction churn must
+                      match per-tenant solo serving label-for-label and
+                      confidence bit-for-bit (f64::to_bits)
+    2. capacity       a robusthdd fleet daemon serves Zipf-mixed classify
+                      traffic over every model id inside the budget
+    3. loghd          accuracy of the full models vs their LogHD
+                      class-axis compression (C -> ceil(log2 C))
+    4. routing        grouped cross-model batches vs one query at a time
+
+Emits one JSON object (the BENCH_fleet.json body).",
+        options: &[
+            &[
+                Defaulted("models", "N", "120", "tenants to register"),
+                Defaulted("cohorts", "N", "8", "encoder cohorts sharing codebooks"),
+                Defaulted("dim", "N", "2048", "HDC dimensionality"),
+                Defaulted("features", "N", "16", "features per query"),
+                Defaulted("classes", "N", "6", "classes per tenant model"),
+                Defaulted("rows", "N", "8", "rows per class per tenant"),
+                Defaulted("budget-models", "N", "16", "memory budget in resident models"),
+                Defaulted("seed", "N", "0", "workload seed"),
+                Defaulted("clients", "N", "16", "wire-phase clients"),
+                Defaulted("requests", "N", "64", "requests per wire client"),
+                Defaulted("pipeline", "N", "4", "max in flight per client"),
+                Defaulted("zipf", "S", "1.0", "tenant-mix Zipf exponent"),
+            ],
+            DAEMON,
+            ENGINE,
+        ],
+        run: fleetbench,
+    },
+    Command {
+        name: "throughput",
+        summary: "Benchmark batched inference across thread counts (JSON)",
+        about: "\
+measure serving throughput by phase (queries/sec)
+
+Synthesizes a dataset in-process, trains an HDC pipeline, then times the
+parallel batch engine at each requested thread count, reporting three
+rates per point:
+
+    encode_qps       raw feature rows -> hypervectors
+    score_qps        pre-encoded hypervectors -> predictions
+    end_to_end_qps   raw rows -> predictions, fused (no intermediate batch)
+
+Before timing, the encoder is cross-checked against the scalar reference
+encoder and the engine's predictions against the sequential path at every
+thread count, so the reported rates always describe the bit-exact engine.
+The reference encoder is timed once, single-threaded, as
+reference_encode_qps.
+
+The recovery engine is timed beside the sweep, single-threaded, on the
+trained model with 8% of its bits flipped, at the recovery_soak operating
+point (m = 20, S = 0.5, majority saturation 3, T_C = 0.45):
+
+    repair_qps             trusted-query observations/s of observe
+    reference_repair_qps   the same for the per-bit oracle observe_reference
+
+Twin engines first run the query stream through both and must agree to
+the bit. The two are then timed interleaved, one pass of each per round,
+and each rate is the median over --repeats rounds. Emits one JSON object
+to stdout.",
+        options: &[&[
+            DATASET,
+            Defaulted("queries", "N", "2000", "queries per timed batch"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("threads", "LIST", "1,2,4,8", "comma-separated thread counts"),
+            Defaulted("shard", "N", "32", "shard size in queries"),
+            Defaulted("repeats", "N", "3", "timed repetitions per thread count; \
+                                            best rate wins"),
+            Defaulted("seed", "N", "0", "pipeline seed"),
+        ]],
+        run: throughput,
+    },
+    Command {
+        name: "trainbench",
+        summary: "Benchmark bit-sliced training (bundle/retrain) across thread counts (JSON)",
+        about: "\
+measure training throughput by phase (samples/sec)
+
+Synthesizes a dataset in-process, encodes its training split, then times
+the bit-sliced training engine at each requested thread count, reporting
+three figures per point:
+
+    bundle_qps       samples bundled/sec (one-shot carry-save bundling)
+    retrain_qps      sample-updates/sec across the retraining epochs
+    fit_seconds      full fit wall-clock (bundle + retrain)
+
+Before timing, the fast training path is cross-checked against the
+sequential scalar reference at every thread count — raw accumulator
+counts included — so the reported rates always describe the bit-exact
+engine. The reference trainer is timed once, single-threaded, as the
+`reference` row. Emits one JSON object to stdout.",
+        options: &[&[
+            DATASET,
+            Defaulted("samples", "N", "400", "training samples per fit"),
+            Defaulted("dim", "N", "4096", "HDC dimensionality"),
+            Defaulted("epochs", "N", "2", "retraining epoch budget"),
+            Defaulted("threads", "LIST", "1,2,4,8", "comma-separated thread counts"),
+            Defaulted("shard", "N", "32", "shard size in samples"),
+            Defaulted("repeats", "N", "3", "timed repetitions per thread count; \
+                                            best time wins"),
+            Defaulted("seed", "N", "0", "pipeline seed"),
+        ]],
+        run: trainbench,
+    },
+    Command {
+        name: "kernelbench",
+        summary: "Benchmark execution-tier kernels (reference vs wide GiB/s) (JSON)",
+        about: "\
+measure execution-tier kernel throughput (GiB/s)
+
+Times every kernel family the execution tiers re-route — pairwise and
+masked-range Hamming distance, class-major scoring, the carry-save
+majority ripple, bipolar count extraction, threshold extraction, and the
+word-major fused bind+bundle that record encoding runs once per row — on
+seeded operands shaped like the dataset (dimension, class count), on
+BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
+of operand traffic per tier and the wide/reference speedup. Each round
+times one pass of each tier back to back, alternating which goes first,
+and each tier reports its best round: both bests come from the same
+span of time, so host load cannot favour one tier by landing while
+only the other is timed. The tiers are timed tier-explicitly, so the ratios
+are reported no matter which tier ROBUSTHD_KERNEL_TIER installed; only
+the end-to-end predict_qps row — a trained model scoring the dataset's
+encoded queries — runs through the installed tier (and honours
+ROBUSTHD_THREADS).
+
+Before timing, every kernel is cross-checked bit-exact across tiers —
+integer counts exactly, similarity floats down to f64::to_bits — and a
+divergence fails the command. Emits one JSON object to stdout.",
+        options: &[&[
+            DATASET,
+            Defaulted("dim", "N", "8192", "HDC dimensionality"),
+            Defaulted("queries", "N", "400", "end-to-end query batch size"),
+            Defaulted("repeats", "N", "3", "timed rounds per kernel, \
+                                            each timing both tiers once; the best\n\
+                                            round wins, as it does for predict_qps"),
+            Defaulted("seed", "N", "0", "pipeline seed"),
+        ]],
+        run: kernelbench,
+    },
+    Command {
+        name: "flags",
+        summary: "Print the ROBUSTHD_* environment-flag registry (JSON)",
+        about: "\
+print the ROBUSTHD_* environment-flag registry as JSON
+
+Every runtime flag the suite reads is registered centrally in
+robusthd::FlagRegistry; this command dumps that registry, so the output
+is definitionally complete: a flag that does not appear here does not
+exist (the repo lints fail any environment read that bypasses the
+registry). Per flag: the variable name, the config struct that parses
+it, its default, whether it is currently set, the raw value, and the
+effective parsed value.",
+        options: &[],
+        run: |_| Ok(flags()),
+    },
+];
+
+/// `--dataset`, for the commands that synthesize their data.
+const DATASET: Opt = Defaulted(
+    "dataset",
+    "NAME",
+    "ucihar",
+    "mnist | ucihar | isolet | face | pamap | pecan",
+);
+
+/// The daemon tuning shared by `serve`, `servebench` and `fleetbench`; the
+/// defaults are [`robusthd::ServeConfig::default`]'s.
+const DAEMON: &[Opt] = &[
+    Defaulted("window-us", "N", "1000", "coalescing window, µs"),
+    Defaulted("max-batch", "N", "64", "micro-batch ceiling"),
+    Defaulted("queue-depth", "N", "1024", "admission queue bound"),
+];
+
+/// The batch-engine overrides shared by `serve`, `servebench` and
+/// `fleetbench`; one left out keeps the environment's value.
+const ENGINE: &[Opt] = &[
+    Optional(
+        "threads",
+        "N",
+        "batch-engine worker threads (default ROBUSTHD_THREADS)",
+    ),
+    Optional("shard", "N", "batch-engine shard size (default 32)"),
+];
 
 /// `robusthd generate` — synthesize a dataset and write both splits as CSV.
-pub fn generate(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "dataset",
-            "train",
-            "test",
-            "train-size",
-            "test-size",
-            "seed",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(GENERATE_HELP.to_owned());
-    }
-    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
-    let train_size = args
-        .get_parsed_or("train-size", 1200usize)
-        .map_err(|e| e.to_string())?;
-    let test_size = args
-        .get_parsed_or("test-size", 600usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 1u64)
-        .map_err(|e| e.to_string())?;
-    let train_path = args.require("train").map_err(|e| e.to_string())?;
-    let test_path = args.require("test").map_err(|e| e.to_string())?;
+fn generate(args: &Args) -> Result<String, String> {
+    let spec = dataset_spec(args)?;
+    let train_size = args.get("train-size")?;
+    let test_size = args.get("test-size")?;
+    let seed = args.get("seed")?;
+    let train_path: String = args.get("train")?;
+    let test_path: String = args.get("test")?;
 
     let spec = spec.with_sizes(train_size, test_size);
     let data = GeneratorConfig::new(seed).generate(&spec);
@@ -169,8 +607,8 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
             csv::write_samples(file, samples).map_err(|e| format!("writing {path}: {e}"))
         })
     };
-    write(train_path, &data.train)?;
-    write(test_path, &data.test)?;
+    write(&train_path, &data.train)?;
+    write(&test_path, &data.test)?;
     Ok(format!(
         "wrote {} ({} samples) and {} ({} samples): {} features, {} classes",
         train_path,
@@ -182,30 +620,12 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-const EVALUATE_HELP: &str = "\
-robusthd evaluate — train an HDC classifier on CSV data and report accuracy
-
-OPTIONS:
-    --train <PATH>   training CSV (features..., integer label) (required)
-    --test <PATH>    test CSV (required)
-    --dim <N>        hypervector dimensionality (default 10000)
-    --seed <N>       pipeline seed (default 0)";
-
 /// `robusthd evaluate` — train on one CSV, score on another.
-pub fn evaluate(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "test", "dim", "seed"], &["help"])
-        .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(EVALUATE_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let test = load_samples(args.require("test").map_err(|e| e.to_string())?)?;
-    let dim = args
-        .get_parsed_or("dim", 10_000usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn evaluate(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let test = load_samples(&args.get::<String>("test")?)?;
+    let dim = args.get("dim")?;
+    let seed = args.get("seed")?;
     let pipeline = train_pipeline(&train, &test, dim, seed)?;
     Ok(format!(
         "trained on {} samples, tested on {}: accuracy {:.2}% (D = {dim})",
@@ -215,37 +635,31 @@ pub fn evaluate(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-const ATTACK_HELP: &str = "\
-robusthd attack — compare HDC and an 8-bit DNN under random bit-flip attack
+/// A fraction option's value, checked to lie in `[0, 1]`.
+fn fraction(args: &Args, name: &str) -> Result<f64, String> {
+    let value = args.get(name)?;
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(format!("--{name} {value} outside [0, 1]"))
+    }
+}
 
-OPTIONS:
-    --train <PATH>   training CSV (required)
-    --test <PATH>    test CSV (required)
-    --rate <F>       fraction of stored model bits to flip (default 0.1)
-    --dim <N>        HDC dimensionality (default 10000)
-    --seed <N>       pipeline/attack seed (default 0)";
+/// `--steps`, checked to be positive.
+fn positive_steps(args: &Args) -> Result<usize, String> {
+    match args.get("steps")? {
+        0 => Err("--steps must be positive".to_owned()),
+        steps => Ok(steps),
+    }
+}
 
 /// `robusthd attack` — HDC vs DNN quality loss at one attack rate.
-pub fn attack(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "test", "rate", "dim", "seed"], &["help"])
-        .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(ATTACK_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let test = load_samples(args.require("test").map_err(|e| e.to_string())?)?;
-    let rate = args
-        .get_parsed_or("rate", 0.1f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--rate {rate} outside [0, 1]"));
-    }
-    let dim = args
-        .get_parsed_or("dim", 10_000usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn attack(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let test = load_samples(&args.get::<String>("test")?)?;
+    let rate = fraction(args, "rate")?;
+    let dim = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
 
     let pipeline = train_pipeline(&train, &test, dim, seed)?;
     let attacked = attack_hdc(&pipeline.model, rate, seed ^ 0xa77);
@@ -282,45 +696,14 @@ pub fn attack(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const RECOVER_HELP: &str = "\
-robusthd recover — attack an HDC model, then repair it from unlabeled traffic
-
-OPTIONS:
-    --train <PATH>     training CSV (required)
-    --test <PATH>      test CSV; also serves as the unlabeled traffic (required)
-    --rate <F>         fraction of stored model bits to flip (default 0.1)
-    --dim <N>          HDC dimensionality (default 4096)
-    --passes <N>       recovery passes over the traffic (default 16)
-    --seed <N>         pipeline/attack seed (default 0)";
-
 /// `robusthd recover` — the full attack → unsupervised-repair loop.
-pub fn recover(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &["train", "test", "rate", "dim", "passes", "seed"],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(RECOVER_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let test = load_samples(args.require("test").map_err(|e| e.to_string())?)?;
-    let rate = args
-        .get_parsed_or("rate", 0.1f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--rate {rate} outside [0, 1]"));
-    }
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
-    let passes = args
-        .get_parsed_or("passes", 16usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn recover(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let test = load_samples(&args.get::<String>("test")?)?;
+    let rate = fraction(args, "rate")?;
+    let dim = args.get("dim")?;
+    let passes = args.get("passes")?;
+    let seed: u64 = args.get("seed")?;
 
     let pipeline = train_pipeline(&train, &test, dim, seed)?;
     let mut model = attack_hdc(&pipeline.model, rate, seed ^ 0xa77);
@@ -360,30 +743,12 @@ pub fn recover(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const TRAIN_HELP: &str = "\
-robusthd train — train an HDC pipeline on CSV data and save it
-
-OPTIONS:
-    --train <PATH>   training CSV (features..., integer label) (required)
-    --model <PATH>   output model file (required)
-    --dim <N>        hypervector dimensionality (default 10000)
-    --seed <N>       pipeline seed (default 0)";
-
 /// `robusthd train` — fit a pipeline and persist it.
-pub fn train(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["train", "model", "dim", "seed"], &["help"])
-        .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(TRAIN_HELP.to_owned());
-    }
-    let train_samples = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let model_path = args.require("model").map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 10_000usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn train(args: &Args) -> Result<String, String> {
+    let train_samples = load_samples(&args.get::<String>("train")?)?;
+    let model_path: String = args.get("model")?;
+    let dim = args.get("dim")?;
+    let seed = args.get("seed")?;
 
     let features = train_samples[0].features.len();
     let classes = train_samples
@@ -405,7 +770,7 @@ pub fn train(argv: &[String]) -> Result<String, String> {
     let labels: Vec<_> = train_samples.iter().map(|s| s.label).collect();
     let model = TrainedModel::train(&encoded, &labels, classes, &config);
 
-    write_atomically(model_path, |file| {
+    write_atomically(&model_path, |file| {
         persist::save_model(file, &config, features, &model)
             .map_err(|e| format!("writing {model_path}: {e}"))
     })?;
@@ -415,25 +780,12 @@ pub fn train(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-const INFER_HELP: &str = "\
-robusthd infer — load a saved pipeline and classify CSV samples
-
-OPTIONS:
-    --model <PATH>   saved model file from `robusthd train` (required)
-    --input <PATH>   CSV with features (and a label column, used for scoring) (required)
-    --predictions    also print one predicted label per line";
-
 /// `robusthd infer` — serve predictions from a persisted pipeline.
-pub fn infer(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["model", "input"], &["predictions", "help"])
-        .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(INFER_HELP.to_owned());
-    }
-    let model_path = args.require("model").map_err(|e| e.to_string())?;
-    let input = load_samples(args.require("input").map_err(|e| e.to_string())?)?;
+fn infer(args: &Args) -> Result<String, String> {
+    let model_path: String = args.get("model")?;
+    let input = load_samples(&args.get::<String>("input")?)?;
     let file =
-        File::open(Path::new(model_path)).map_err(|e| format!("cannot open {model_path}: {e}"))?;
+        File::open(Path::new(&model_path)).map_err(|e| format!("cannot open {model_path}: {e}"))?;
     let saved = persist::load_model(file).map_err(|e| format!("{model_path}: {e}"))?;
     if input[0].features.len() != saved.features {
         return Err(format!(
@@ -465,48 +817,14 @@ pub fn infer(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const MONITOR_HELP: &str = "\
-robusthd monitor — judge a model's health from unlabeled traffic
-
-Calibrates on the clean model, re-plays the traffic against an attacked
-copy, and reports the monitor's verdict at each corruption step.
-
-OPTIONS:
-    --train <PATH>   training CSV (required)
-    --traffic <PATH> unlabeled traffic CSV (label column present but unused) (required)
-    --rate <F>       per-step corruption increment (default 0.05)
-    --steps <N>      corruption steps to simulate (default 5)
-    --dim <N>        HDC dimensionality (default 4096)
-    --seed <N>       pipeline/attack seed (default 0)";
-
 /// `robusthd monitor` — unsupervised degradation detection demo.
-pub fn monitor(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &["train", "traffic", "rate", "steps", "dim", "seed"],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(MONITOR_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let traffic = load_samples(args.require("traffic").map_err(|e| e.to_string())?)?;
-    let rate = args
-        .get_parsed_or("rate", 0.05f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--rate {rate} outside [0, 1]"));
-    }
-    let steps = args
-        .get_parsed_or("steps", 5usize)
-        .map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn monitor(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let traffic = load_samples(&args.get::<String>("traffic")?)?;
+    let rate = fraction(args, "rate")?;
+    let steps = args.get("steps")?;
+    let dim = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
     let mut model = pipeline.model.clone();
@@ -541,58 +859,14 @@ pub fn monitor(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const SOAK_HELP: &str = "\
-robusthd soak — chaos-soak the self-healing serving runtime
-
-Trains a pipeline, calibrates the resilience supervisor on the first half
-of the traffic (retained as canaries), then serves the second half while
-an attack campaign corrupts the stored model between batches. The
-supervisor monitors, repairs at an escalating ladder, checkpoints healthy
-states, and rolls back when recovery keeps failing.
-
-OPTIONS:
-    --train <PATH>   training CSV (required)
-    --traffic <PATH> traffic CSV (labels used only to report accuracy) (required)
-    --steps <N>      attack-campaign steps (default 8)
-    --peak <F>       cumulative corruption rate at the last step (default 0.12)
-    --burst          also flip half of every stored word at the midpoint
-                     (a catastrophe that forces escalation and rollback)
-    --targeted       spend the campaign budget on stored-word MSBs first
-    --dim <N>        HDC dimensionality (default 4096)
-    --seed <N>       pipeline/campaign seed (default 0)
-    --json           emit the full JSON soak trace instead of a text report";
-
 /// `robusthd soak` — closed-loop resilience soak with fault injection.
-pub fn soak(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &["train", "traffic", "steps", "peak", "dim", "seed"],
-        &["burst", "targeted", "json", "help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(SOAK_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let traffic = load_samples(args.require("traffic").map_err(|e| e.to_string())?)?;
-    let steps = args
-        .get_parsed_or("steps", 8usize)
-        .map_err(|e| e.to_string())?;
-    if steps == 0 {
-        return Err("--steps must be positive".to_owned());
-    }
-    let peak = args
-        .get_parsed_or("peak", 0.12f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&peak) {
-        return Err(format!("--peak {peak} outside [0, 1]"));
-    }
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+fn soak(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let traffic = load_samples(&args.get::<String>("traffic")?)?;
+    let steps = positive_steps(args)?;
+    let peak = fraction(args, "peak")?;
+    let dim = args.get("dim")?;
+    let seed = args.get("seed")?;
     let burst = args.flag("burst");
     let targeted = args.flag("targeted");
 
@@ -655,103 +929,19 @@ pub fn soak(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const ADVSOAK_HELP: &str = "\
-robusthd advsoak — joint memory + input adversarial soak
-
-Trains a pipeline, calibrates the resilience supervisor on the first half
-of the traffic (canaries), then serves the second half while an attack
-campaign corrupts stored memory AND a blackbox margin-guided attacker
-perturbs a fraction of the queries inside a hard Hamming budget. Reports
-whether the confidence gate detects the adversarial queries. Also hunts a
-disagreement corpus across model variants (one-shot vs retrained vs
-memory-attacked) that can be persisted and later replayed bit-exactly,
-and sweeps the attacker's Hamming budget (radius 0, 16, 64 and 256,
-candidate width 32) against the clean model on the first 48 traffic
-queries: attack success, detection and blackbox queries per radius.
-
-OPTIONS:
-    --train <PATH>     training CSV (required)
-    --traffic <PATH>   traffic CSV (labels used only to report accuracy) (required)
-    --steps <N>        attack-campaign steps (default 6)
-    --peak <F>         cumulative memory corruption at the last step (default 0.08)
-    --tcam             derive the memory-corruption schedule from the FeFET/TCAM
-                       retention model (Vth drift) instead of the linear ramp
-    --horizon <F>      TCAM retention horizon in seconds (default 1e8)
-    --radius <N>       input-attack Hamming budget per query (default 64)
-    --candidates <N>   candidate bits scored per attack round (default 64)
-    --attack-frac <F>  fraction of served queries attacked per step (default 0.15)
-    --trust <F>        confidence trust threshold T_C (default 0.45)
-    --corpus <PATH>    persist the disagreement corpus (ADVC1 text) here
-    --replay <PATH>    replay a saved corpus against the rebuilt pipeline and
-                       report exactness instead of running the soak
-    --dim <N>          HDC dimensionality (default 4096)
-    --seed <N>         pipeline/attack seed (default 0)
-    --json             emit the full JSON report instead of a text report";
-
 /// `robusthd advsoak` — adversarial scenario soak (input + memory attacks).
-pub fn advsoak(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "train",
-            "traffic",
-            "steps",
-            "peak",
-            "horizon",
-            "radius",
-            "candidates",
-            "attack-frac",
-            "trust",
-            "corpus",
-            "replay",
-            "dim",
-            "seed",
-        ],
-        &["tcam", "json", "help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(ADVSOAK_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let traffic = load_samples(args.require("traffic").map_err(|e| e.to_string())?)?;
-    let steps = args
-        .get_parsed_or("steps", 6usize)
-        .map_err(|e| e.to_string())?;
-    if steps == 0 {
-        return Err("--steps must be positive".to_owned());
-    }
-    let peak = args
-        .get_parsed_or("peak", 0.08f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&peak) {
-        return Err(format!("--peak {peak} outside [0, 1]"));
-    }
-    let horizon = args
-        .get_parsed_or("horizon", 1e8f64)
-        .map_err(|e| e.to_string())?;
-    let defaults = AttackBudget::new(0);
-    let radius = args
-        .get_parsed_or("radius", 64usize)
-        .map_err(|e| e.to_string())?;
-    let candidates = args
-        .get_parsed_or("candidates", defaults.candidates)
-        .map_err(|e| e.to_string())?;
-    let attack_frac = args
-        .get_parsed_or("attack-frac", 0.15f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&attack_frac) {
-        return Err(format!("--attack-frac {attack_frac} outside [0, 1]"));
-    }
-    let trust = args
-        .get_parsed_or("trust", 0.45f64)
-        .map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", defaults.seed)
-        .map_err(|e| e.to_string())?;
+fn advsoak(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let traffic = load_samples(&args.get::<String>("traffic")?)?;
+    let steps = positive_steps(args)?;
+    let peak = fraction(args, "peak")?;
+    let horizon: f64 = args.get("horizon")?;
+    let radius = args.get("radius")?;
+    let candidates = args.get("candidates")?;
+    let attack_frac = fraction(args, "attack-frac")?;
+    let trust = args.get("trust")?;
+    let dim = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
     let train_rows: Vec<&[f64]> = train.iter().map(|s| s.features.as_slice()).collect();
@@ -766,8 +956,9 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
 
     // Replay mode: verify a previously persisted corpus bit-exactly
     // against the rebuilt pipeline, then stop.
-    if let Some(path) = args.get("replay") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if let Some(path) = args.opt::<String>("replay")? {
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let corpus = DisagreementCorpus::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
         let report = corpus.replay(
             &BatchEngine::from_env(),
@@ -830,8 +1021,8 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     )?;
     let (corpus, report) = (&outcome.corpus, &outcome.soak);
     let mut corpus_note = format!("{} disagreements", corpus.cases.len());
-    if let Some(path) = args.get("corpus") {
-        write_atomically(path, |file| {
+    if let Some(path) = args.opt::<String>("corpus")? {
+        write_atomically(&path, |file| {
             file.write_all(corpus.to_text().as_bytes())
                 .map_err(|e| format!("cannot write {path}: {e}"))
         })?;
@@ -903,28 +1094,10 @@ pub fn advsoak(argv: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-const PAPER_HELP: &str = "\
-robusthd paper — regenerate the paper's tables and figures
-
-Runs the experiment behind each of the paper's artifacts on the synthetic
-stand-in datasets and prints its table under a `== … ==` heading, in the
-layout and order of results_standard.txt, so
-`robusthd paper > results_standard.txt` regenerates the committed record.
-Every experiment is seeded, so the same scale prints the same text.
-
-OPTIONS:
-    --only <NAME>    print one artifact: table1 | table3 | table4 | fig2 | fig3 |
-                     fig4a | fig4b | ablation (default: all of them)
-    --scale <NAME>   quick | standard | full (default standard)";
-
 /// `robusthd paper` — the paper's tables and figures
 /// ([`robusthd_bench::paper::render`]).
-pub fn paper(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &["only", "scale"], &["help"]).map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(PAPER_HELP.to_owned());
-    }
-    let scale = match args.get("scale").unwrap_or("standard") {
+fn paper(args: &Args) -> Result<String, String> {
+    let scale = match args.get::<String>("scale")?.as_str() {
         "quick" => Scale::Quick,
         "standard" => Scale::Standard,
         "full" => Scale::Full,
@@ -934,8 +1107,8 @@ pub fn paper(argv: &[String]) -> Result<String, String> {
             ))
         }
     };
-    let only = args.get("only");
-    let mut text = robusthd_bench::paper::render(only, scale).ok_or_else(|| {
+    let only = args.opt::<String>("only")?;
+    let mut text = robusthd_bench::paper::render(only.as_deref(), scale).ok_or_else(|| {
         let names: Vec<_> = robusthd_bench::paper::names().collect();
         format!(
             "unknown artifact `{}` (expected one of: {})",
@@ -947,31 +1120,13 @@ pub fn paper(argv: &[String]) -> Result<String, String> {
     Ok(text)
 }
 
-const FLAGS_HELP: &str = "\
-robusthd flags — print the ROBUSTHD_* environment-flag registry as JSON
-
-Every runtime flag the suite reads is registered centrally in
-robusthd::FlagRegistry; this command dumps that registry, so the output
-is definitionally complete: a flag that does not appear here does not
-exist (the repo lints fail any environment read that bypasses the
-registry). Per flag: the variable name, the config struct that parses
-it, its default, whether it is currently set, the raw value, and the
-effective parsed value.
-
-OPTIONS:
-    --help             show this help";
-
 /// A JSON object from `(key, value)` pairs, in order.
 fn json_object(fields: Vec<(&str, Json)>) -> Json {
     Json::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// `robusthd flags` — the flag registry as one JSON object.
-pub fn flags(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(argv, &[], &["help"]).map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(FLAGS_HELP.to_owned());
-    }
+/// The flag registry as one JSON object: what `robusthd flags` prints.
+pub fn flags() -> String {
     let text = |s: &str| Json::String(s.to_owned());
     let entries = robusthd::FlagRegistry::flags()
         .into_iter()
@@ -987,138 +1142,37 @@ pub fn flags(argv: &[String]) -> Result<String, String> {
             ])
         })
         .collect();
-    Ok(json_object(vec![("flags", Json::Array(entries))]).to_string_compact())
+    json_object(vec![("flags", Json::Array(entries))]).to_string_compact()
 }
-
-const THROUGHPUT_HELP: &str = "\
-robusthd throughput — measure serving throughput by phase (queries/sec)
-
-Synthesizes a dataset in-process, trains an HDC pipeline, then times the
-parallel batch engine at each requested thread count, reporting three
-rates per point:
-
-    encode_qps       raw feature rows -> hypervectors
-    score_qps        pre-encoded hypervectors -> predictions
-    end_to_end_qps   raw rows -> predictions, fused (no intermediate batch)
-
-Before timing, the encoder is cross-checked against the scalar reference
-encoder and the engine's predictions against the sequential path at every
-thread count, so the reported rates always describe the bit-exact engine.
-The reference encoder is timed once, single-threaded, as
-reference_encode_qps.
-
-The recovery engine is timed beside the sweep, single-threaded, on the
-trained model with 8% of its bits flipped, at the recovery_soak operating
-point (m = 20, S = 0.5, majority saturation 3, T_C = 0.45):
-
-    repair_qps             trusted-query observations/s of observe
-    reference_repair_qps   the same for the per-bit oracle observe_reference
-
-Twin engines first run the query stream through both and must agree to
-the bit. The two are then timed interleaved, one pass of each per round,
-and each rate is the median over --repeats rounds. Emits one JSON object
-to stdout.
-
-OPTIONS:
-    --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
-    --queries <N>      queries per timed batch (default 2000)
-    --dim <N>          HDC dimensionality (default 4096)
-    --threads <LIST>   comma-separated thread counts (default 1,2,4,8)
-    --shard <N>        shard size in queries (default 32)
-    --repeats <N>      timed repetitions per thread count; best rate wins (default 3)
-    --seed <N>         pipeline seed (default 0)";
 
 /// `robusthd throughput` — queries/sec sweep over thread counts
 /// ([`robusthd_bench::throughput::run`]).
-pub fn throughput(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "dataset", "queries", "dim", "threads", "shard", "repeats", "seed",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(THROUGHPUT_HELP.to_owned());
-    }
-    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
-    let queries = args
-        .get_parsed_or("queries", 2000usize)
-        .map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
+fn throughput(args: &Args) -> Result<String, String> {
+    let spec = dataset_spec(args)?;
+    let queries = args.get("queries")?;
+    let dim = args.get("dim")?;
     if queries == 0 || dim == 0 {
         return Err("--queries and --dim must be positive".to_owned());
     }
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
-    let (threads, shard, repeats) = sweep_args(&args)?;
+    let seed = args.get("seed")?;
+    let (threads, shard, repeats) = sweep_args(args)?;
     let outcome =
         robusthd_bench::throughput::run(&spec, queries, dim, seed, &threads, shard, repeats);
     Ok(outcome.to_json())
 }
 
-const TRAINBENCH_HELP: &str = "\
-robusthd trainbench — measure training throughput by phase (samples/sec)
-
-Synthesizes a dataset in-process, encodes its training split, then times
-the bit-sliced training engine at each requested thread count, reporting
-three figures per point:
-
-    bundle_qps       samples bundled/sec (one-shot carry-save bundling)
-    retrain_qps      sample-updates/sec across the retraining epochs
-    fit_seconds      full fit wall-clock (bundle + retrain)
-
-Before timing, the fast training path is cross-checked against the
-sequential scalar reference at every thread count — raw accumulator
-counts included — so the reported rates always describe the bit-exact
-engine. The reference trainer is timed once, single-threaded, as the
-`reference` row. Emits one JSON object to stdout.
-
-OPTIONS:
-    --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
-    --samples <N>      training samples per fit (default 400)
-    --dim <N>          HDC dimensionality (default 4096)
-    --epochs <N>       retraining epoch budget (default 2)
-    --threads <LIST>   comma-separated thread counts (default 1,2,4,8)
-    --shard <N>        shard size in samples (default 32)
-    --repeats <N>      timed repetitions per thread count; best time wins (default 3)
-    --seed <N>         pipeline seed (default 0)";
-
 /// `robusthd trainbench` — training samples/sec sweep over thread counts
 /// ([`robusthd_bench::trainbench::run`]).
-pub fn trainbench(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "dataset", "samples", "dim", "epochs", "threads", "shard", "repeats", "seed",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(TRAINBENCH_HELP.to_owned());
-    }
-    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
-    let samples = args
-        .get_parsed_or("samples", 400usize)
-        .map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
+fn trainbench(args: &Args) -> Result<String, String> {
+    let spec = dataset_spec(args)?;
+    let samples = args.get("samples")?;
+    let dim = args.get("dim")?;
     if samples == 0 || dim == 0 {
         return Err("--samples and --dim must be positive".to_owned());
     }
-    let epochs = args
-        .get_parsed_or("epochs", 2usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
-    let (threads, shard, repeats) = sweep_args(&args)?;
+    let epochs = args.get("epochs")?;
+    let seed = args.get("seed")?;
+    let (threads, shard, repeats) = sweep_args(args)?;
     let outcome = robusthd_bench::trainbench::run(
         &spec, samples, dim, seed, epochs, &threads, shard, repeats,
     );
@@ -1128,19 +1182,14 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
 /// Parses and validates the thread-sweep tuning shared by `throughput`
 /// and `trainbench` — `--threads`, `--shard`, `--repeats` — so a bad value
 /// is an error here rather than an assertion in the bench harness.
-fn sweep_args(args: &ParsedArgs) -> Result<(Vec<usize>, usize, usize), String> {
-    let shard = args
-        .get_parsed_or("shard", 32usize)
-        .map_err(|e| e.to_string())?;
-    let repeats = args
-        .get_parsed_or("repeats", 3usize)
-        .map_err(|e| e.to_string())?;
+fn sweep_args(args: &Args) -> Result<(Vec<usize>, usize, usize), String> {
+    let shard = args.get("shard")?;
+    let repeats = args.get("repeats")?;
     if shard == 0 || repeats == 0 {
         return Err("--shard and --repeats must be positive".to_owned());
     }
     let threads = args
-        .get("threads")
-        .unwrap_or("1,2,4,8")
+        .get::<String>("threads")?
         .split(',')
         .map(|t| {
             t.trim()
@@ -1153,37 +1202,6 @@ fn sweep_args(args: &ParsedArgs) -> Result<(Vec<usize>, usize, usize), String> {
     Ok((threads, shard, repeats))
 }
 
-const KERNELBENCH_HELP: &str = "\
-robusthd kernelbench — measure execution-tier kernel throughput (GiB/s)
-
-Times every kernel family the execution tiers re-route — pairwise and
-masked-range Hamming distance, class-major scoring, the carry-save
-majority ripple, bipolar count extraction, threshold extraction, and the
-word-major fused bind+bundle that record encoding runs once per row — on
-seeded operands shaped like the dataset (dimension, class count), on
-BOTH tiers (reference scalar and wide lane-parallel), reporting GiB/s
-of operand traffic per tier and the wide/reference speedup. Each round
-times one pass of each tier back to back, alternating which goes first,
-and each tier reports its best round: both bests come from the same
-span of time, so host load cannot favour one tier by landing while
-only the other is timed. The tiers are timed tier-explicitly, so the ratios
-are reported no matter which tier ROBUSTHD_KERNEL_TIER installed; only
-the end-to-end predict_qps row — a trained model scoring the dataset's
-encoded queries — runs through the installed tier (and honours
-ROBUSTHD_THREADS).
-
-Before timing, every kernel is cross-checked bit-exact across tiers —
-integer counts exactly, similarity floats down to f64::to_bits — and a
-divergence fails the command. Emits one JSON object to stdout.
-
-OPTIONS:
-    --dataset <NAME>   mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
-    --dim <N>          HDC dimensionality (default 8192)
-    --queries <N>      end-to-end query batch size (default 400)
-    --repeats <N>      timed rounds per kernel, each timing both tiers once; the best
-                       round wins, as it does for predict_qps (default 3)
-    --seed <N>         pipeline seed (default 0)";
-
 /// Operand traffic per timed kernel pass, so each repeat takes
 /// milliseconds.
 const KERNEL_PASS_BYTES: usize = 64 * 1024 * 1024;
@@ -1191,40 +1209,23 @@ const KERNEL_PASS_BYTES: usize = 64 * 1024 * 1024;
 /// `robusthd kernelbench` — execution-tier kernel GiB/s sweep
 /// (reference vs wide), bit-exactness gated
 /// ([`robusthd_bench::kernelbench::run`]).
-pub fn kernelbench(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &["dataset", "dim", "queries", "repeats", "seed"],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(KERNELBENCH_HELP.to_owned());
-    }
-    let spec = dataset_spec(&args.get("dataset").unwrap_or("ucihar").to_lowercase())?;
-    let dim = args
-        .get_parsed_or("dim", 8192usize)
-        .map_err(|e| e.to_string())?;
-    let queries = args
-        .get_parsed_or("queries", 400usize)
-        .map_err(|e| e.to_string())?;
-    let repeats = args
-        .get_parsed_or("repeats", 3usize)
-        .map_err(|e| e.to_string())?;
+fn kernelbench(args: &Args) -> Result<String, String> {
+    let spec = dataset_spec(args)?;
+    let dim = args.get("dim")?;
+    let queries = args.get("queries")?;
+    let repeats = args.get("repeats")?;
     if dim == 0 || queries == 0 || repeats == 0 {
         return Err("--dim, --queries and --repeats must be positive".to_owned());
     }
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
+    let seed = args.get("seed")?;
     let outcome =
         robusthd_bench::kernelbench::run(&spec, dim, queries, seed, repeats, KERNEL_PASS_BYTES);
     Ok(outcome.to_json())
 }
 
-/// Resolves a dataset name to its synthetic spec.
-fn dataset_spec(name: &str) -> Result<DatasetSpec, String> {
-    match name {
+/// Resolves `--dataset` to its synthetic spec.
+fn dataset_spec(args: &Args) -> Result<DatasetSpec, String> {
+    match args.get::<String>("dataset")?.to_lowercase().as_str() {
         "mnist" => Ok(DatasetSpec::mnist()),
         "ucihar" | "uci-har" | "har" => Ok(DatasetSpec::ucihar()),
         "isolet" => Ok(DatasetSpec::isolet()),
@@ -1235,24 +1236,12 @@ fn dataset_spec(name: &str) -> Result<DatasetSpec, String> {
     }
 }
 
-/// The daemon tuning shared by `serve`, `servebench` and `fleetbench`:
-/// each knob starts from [`robusthd::ServeConfig::default`] and may be
-/// overridden on the command line.
-fn serve_config_from(args: &ParsedArgs) -> Result<robusthd::ServeConfig, String> {
-    let defaults = robusthd::ServeConfig::default();
-    let window_us = args
-        .get_parsed_or("window-us", defaults.window_us)
-        .map_err(|e| e.to_string())?;
-    let max_batch = args
-        .get_parsed_or("max-batch", defaults.max_batch)
-        .map_err(|e| e.to_string())?;
-    let queue_depth = args
-        .get_parsed_or("queue-depth", defaults.queue_depth)
-        .map_err(|e| e.to_string())?;
+/// The daemon tuning ([`DAEMON`]) as a validated serve configuration.
+fn serve_config_from(args: &Args) -> Result<robusthd::ServeConfig, String> {
     robusthd::ServeConfig::builder()
-        .window_us(window_us)
-        .max_batch(max_batch)
-        .queue_depth(queue_depth)
+        .window_us(args.get("window-us")?)
+        .max_batch(args.get("max-batch")?)
+        .queue_depth(args.get("queue-depth")?)
         .build()
         .map_err(|e| e.to_string())
 }
@@ -1279,76 +1268,16 @@ fn stats_lines(stats: &robusthd_serve::StatsSnapshot) -> String {
     )
 }
 
-const SERVE_HELP: &str = "\
-robusthd serve — run robusthdd, the network serving daemon
-
-Trains a pipeline from CSV, calibrates the resilience supervisor on the
-traffic file (its rows become the retained canaries), then listens for
-newline-delimited JSON requests. Concurrent classify requests coalesce
-into micro-batches that drain through the fused batch engine under the
-supervisor — bit-exact with in-process serving. The daemon announces its
-address on stderr, blocks until a client sends {\"type\":\"shutdown\"},
-drains gracefully (every accepted query is answered), and prints the
-final counters.
-
-Protocol (one JSON object per line, unknown fields ignored):
-    {\"type\":\"classify\",\"id\":1,\"features\":[...]}  -> result | overloaded
-    {\"type\":\"stats\"} | {\"type\":\"health\"} | {\"type\":\"ping\"} | {\"type\":\"shutdown\"}
-
-OPTIONS:
-    --train <PATH>        training CSV (required)
-    --traffic <PATH>      calibration/canary CSV (required)
-    --addr <ADDR>         listen address (default 127.0.0.1:7878)
-    --dim <N>             HDC dimensionality (default 4096)
-    --seed <N>            pipeline seed (default 0)
-    --window-us <N>       coalescing window, µs (default 1000)
-    --max-batch <N>       micro-batch ceiling (default 64)
-    --queue-depth <N>     admission queue bound (default 1024)
-    --monitor-window <N>  supervisor verdict window in queries (default 64)
-    --checkpoint <N>      checkpoint every N healthy batches (default 16)
-    --threads <N>         batch-engine worker threads (default ROBUSTHD_THREADS)
-    --shard <N>           batch-engine shard size (default 32)";
-
 /// `robusthd serve` — run the serving daemon until a protocol shutdown.
-pub fn serve(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "train",
-            "traffic",
-            "addr",
-            "dim",
-            "seed",
-            "window-us",
-            "max-batch",
-            "queue-depth",
-            "monitor-window",
-            "checkpoint",
-            "threads",
-            "shard",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(SERVE_HELP.to_owned());
-    }
-    let train = load_samples(args.require("train").map_err(|e| e.to_string())?)?;
-    let traffic = load_samples(args.require("traffic").map_err(|e| e.to_string())?)?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_owned();
-    let dim = args
-        .get_parsed_or("dim", 4096usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
-    let monitor_window = args
-        .get_parsed_or("monitor-window", 64usize)
-        .map_err(|e| e.to_string())?;
-    let checkpoint = args
-        .get_parsed_or("checkpoint", 16usize)
-        .map_err(|e| e.to_string())?;
-    let config = serve_config_from(&args)?;
+fn serve(args: &Args) -> Result<String, String> {
+    let train = load_samples(&args.get::<String>("train")?)?;
+    let traffic = load_samples(&args.get::<String>("traffic")?)?;
+    let addr: String = args.get("addr")?;
+    let dim = args.get("dim")?;
+    let seed = args.get("seed")?;
+    let monitor_window = args.get("monitor-window")?;
+    let checkpoint = args.get("checkpoint")?;
+    let config = serve_config_from(args)?;
 
     let pipeline = train_pipeline(&train, &traffic, dim, seed)?;
     let features = train[0].features.len();
@@ -1358,7 +1287,7 @@ pub fn serve(argv: &[String]) -> Result<String, String> {
         seed,
         monitor_window,
         checkpoint,
-        batch_config_from(&args)?,
+        batch_config_from(args)?,
     )?;
 
     let handle = robusthd_serve::serve(addr.as_str(), config, engine)
@@ -1388,22 +1317,17 @@ pub fn serve(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-/// Optional `--threads`/`--shard` overrides on top of the environment's
-/// batch-engine tuning.
-fn batch_config_from(args: &ParsedArgs) -> Result<Option<BatchConfig>, String> {
-    if args.get("threads").is_none() && args.get("shard").is_none() {
+/// The batch-engine overrides ([`ENGINE`]) on top of the environment's
+/// tuning, or `None` when neither is given.
+fn batch_config_from(args: &Args) -> Result<Option<BatchConfig>, String> {
+    let (threads, shard) = (args.opt("threads")?, args.opt("shard")?);
+    if threads.is_none() && shard.is_none() {
         return Ok(None);
     }
     let env = BatchConfig::from_env();
-    let threads = args
-        .get_parsed_or("threads", env.threads)
-        .map_err(|e| e.to_string())?;
-    let shard = args
-        .get_parsed_or("shard", env.shard_size)
-        .map_err(|e| e.to_string())?;
     BatchConfig::builder()
-        .threads(threads)
-        .shard_size(shard)
+        .threads(threads.unwrap_or(env.threads))
+        .shard_size(shard.unwrap_or(env.shard_size))
         .build()
         .map(Some)
         .map_err(|e| e.to_string())
@@ -1436,48 +1360,17 @@ fn build_serve_engine(
     Ok(engine)
 }
 
-const LOADGEN_HELP: &str = "\
-robusthd loadgen — drive concurrent classify load at a running robusthdd
-
-Connects --clients concurrent NDJSON connections to the daemon, each
-sending --requests classify requests (cycling through the traffic CSV's
-feature rows) with up to --pipeline in flight, and reports latency
-percentiles and throughput. overloaded responses are tallied, not fatal.
-
-OPTIONS:
-    --addr <ADDR>      daemon address (required)
-    --traffic <PATH>   CSV whose feature rows become query payloads (required)
-    --clients <N>      concurrent connections (default 8)
-    --requests <N>     classify requests per connection (default 64)
-    --pipeline <N>     max requests in flight per connection (default 4)
-    --json             emit one JSON object instead of text";
-
 /// `robusthd loadgen` — pipelined load against a running daemon.
-pub fn loadgen(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &["addr", "traffic", "clients", "requests", "pipeline"],
-        &["json", "help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(LOADGEN_HELP.to_owned());
-    }
-    let addr_raw = args.require("addr").map_err(|e| e.to_string())?;
-    let addr = std::net::ToSocketAddrs::to_socket_addrs(addr_raw)
+fn loadgen(args: &Args) -> Result<String, String> {
+    let addr_raw: String = args.get("addr")?;
+    let addr = std::net::ToSocketAddrs::to_socket_addrs(&addr_raw)
         .map_err(|e| format!("cannot resolve {addr_raw}: {e}"))?
         .next()
         .ok_or_else(|| format!("{addr_raw} resolves to no address"))?;
-    let traffic = load_samples(args.require("traffic").map_err(|e| e.to_string())?)?;
-    let clients = args
-        .get_parsed_or("clients", 8usize)
-        .map_err(|e| e.to_string())?;
-    let requests = args
-        .get_parsed_or("requests", 64usize)
-        .map_err(|e| e.to_string())?;
-    let pipeline = args
-        .get_parsed_or("pipeline", 4usize)
-        .map_err(|e| e.to_string())?;
+    let traffic = load_samples(&args.get::<String>("traffic")?)?;
+    let clients = args.get("clients")?;
+    let requests = args.get("requests")?;
+    let pipeline = args.get("pipeline")?;
     if clients == 0 || requests == 0 || pipeline == 0 {
         return Err("--clients, --requests, and --pipeline must be positive".to_owned());
     }
@@ -1530,105 +1423,26 @@ pub fn loadgen(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-const SERVEBENCH_HELP: &str = "\
-robusthd servebench — coalesced vs sequential serving benchmark (JSON)
-
-Synthesizes a dataset in-process, trains a pipeline, then runs three
-phases against fresh identically-calibrated daemons on loopback:
-
-    1. bit-exactness  every row served over the wire must match the
-                      reference engine label-for-label and confidence
-                      bit-for-bit (f64::to_bits through the JSON roundtrip)
-    2. sequential     one lockstep client, concurrency*requests queries:
-                      every query pays the canary probe and checkpoint
-                      cadence alone
-    3. coalesced      --concurrency pipelined clients; the coalescer
-                      amortises that per-batch overhead
-
-Emits one JSON object (the BENCH_serve.json body); `speedup` is
-coalesced qps over sequential qps.
-
-OPTIONS:
-    --dataset <NAME>      mnist | ucihar | isolet | face | pamap | pecan (default ucihar)
-    --queries <N>         distinct benchmark rows (default 256)
-    --dim <N>             HDC dimensionality (default 2048)
-    --seed <N>            pipeline seed (default 0)
-    --concurrency <N>     clients in the coalesced phase (default 32)
-    --requests <N>        requests per client in the coalesced phase (default 32)
-    --pipeline <N>        max in flight per client (default 4)
-    --window-us <N>       coalescing window, µs (default 1000)
-    --max-batch <N>       micro-batch ceiling (default 64)
-    --queue-depth <N>     admission queue bound (default 1024)
-    --monitor-window <N>  supervisor verdict window (default 64)
-    --checkpoint <N>      checkpoint every N healthy batches (default 16)
-    --canaries <N>        retained canary queries (default 128)
-    --threads <N>         batch-engine worker threads (default ROBUSTHD_THREADS)
-    --shard <N>           batch-engine shard size (default 32)";
-
 /// `robusthd servebench` — the three-phase serving benchmark.
-pub fn servebench(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "dataset",
-            "queries",
-            "dim",
-            "seed",
-            "concurrency",
-            "requests",
-            "pipeline",
-            "window-us",
-            "max-batch",
-            "queue-depth",
-            "monitor-window",
-            "checkpoint",
-            "canaries",
-            "threads",
-            "shard",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(SERVEBENCH_HELP.to_owned());
-    }
-    let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = dataset_spec(&name)?;
-    let queries = args
-        .get_parsed_or("queries", 256usize)
-        .map_err(|e| e.to_string())?;
-    let dim = args
-        .get_parsed_or("dim", 2048usize)
-        .map_err(|e| e.to_string())?;
-    let seed = args
-        .get_parsed_or("seed", 0u64)
-        .map_err(|e| e.to_string())?;
-    let concurrency = args
-        .get_parsed_or("concurrency", 32usize)
-        .map_err(|e| e.to_string())?;
-    let requests = args
-        .get_parsed_or("requests", 32usize)
-        .map_err(|e| e.to_string())?;
-    let pipeline_depth = args
-        .get_parsed_or("pipeline", 4usize)
-        .map_err(|e| e.to_string())?;
-    let monitor_window = args
-        .get_parsed_or("monitor-window", 64usize)
-        .map_err(|e| e.to_string())?;
-    let checkpoint = args
-        .get_parsed_or("checkpoint", 16usize)
-        .map_err(|e| e.to_string())?;
-    let canaries = args
-        .get_parsed_or("canaries", 128usize)
-        .map_err(|e| e.to_string())?;
+fn servebench(args: &Args) -> Result<String, String> {
+    let spec = dataset_spec(args)?;
+    let queries = args.get("queries")?;
+    let dim = args.get("dim")?;
+    let seed = args.get("seed")?;
+    let concurrency = args.get("concurrency")?;
+    let requests = args.get("requests")?;
+    let pipeline_depth = args.get("pipeline")?;
+    let monitor_window = args.get("monitor-window")?;
+    let checkpoint = args.get("checkpoint")?;
+    let canaries: usize = args.get("canaries")?;
     if queries == 0 || concurrency == 0 || requests == 0 || pipeline_depth == 0 || canaries == 0 {
         return Err(
             "--queries, --concurrency, --requests, --pipeline, and --canaries must be positive"
                 .to_owned(),
         );
     }
-    let config = serve_config_from(&args)?;
-    let batch = batch_config_from(&args)?;
+    let config = serve_config_from(args)?;
+    let batch = batch_config_from(args)?;
 
     // The canaries ride along as extra test rows so the benchmark rows
     // themselves are never also calibration data.
@@ -1667,7 +1481,7 @@ pub fn servebench(argv: &[String]) -> Result<String, String> {
         &mk_engine,
         &rows,
         &robusthd_serve::BenchOptions {
-            dataset: name,
+            dataset: args.get::<String>("dataset")?.to_lowercase(),
             concurrency,
             requests_per_client: requests,
             pipeline: pipeline_depth,
@@ -1679,111 +1493,23 @@ pub fn servebench(argv: &[String]) -> Result<String, String> {
     Ok(outcome.to_json())
 }
 
-const FLEETBENCH_HELP: &str = "\
-robusthd fleetbench — multi-tenant fleet serving benchmark (JSON)
-
-Builds a synthetic fleet of per-tenant models in-process and runs four
-phases against a memory-budgeted model registry:
-
-    1. bit-exactness  a mixed-tenant stream under eviction churn must
-                      match per-tenant solo serving label-for-label and
-                      confidence bit-for-bit (f64::to_bits)
-    2. capacity       a robusthdd fleet daemon serves Zipf-mixed classify
-                      traffic over every model id inside the budget
-    3. loghd          accuracy of the full models vs their LogHD
-                      class-axis compression (C -> ceil(log2 C))
-    4. routing        grouped cross-model batches vs one query at a time
-
-Emits one JSON object (the BENCH_fleet.json body).
-
-OPTIONS:
-    --models <N>          tenants to register (default 120)
-    --cohorts <N>         encoder cohorts sharing codebooks (default 8)
-    --dim <N>             HDC dimensionality (default 2048)
-    --features <N>        features per query (default 16)
-    --classes <N>         classes per tenant model (default 6)
-    --rows <N>            rows per class per tenant (default 8)
-    --budget-models <N>   memory budget in resident models (default 16)
-    --seed <N>            workload seed (default 0)
-    --clients <N>         wire-phase clients (default 16)
-    --requests <N>        requests per wire client (default 64)
-    --pipeline <N>        max in flight per client (default 4)
-    --zipf <S>            tenant-mix Zipf exponent (default 1.0)
-    --window-us <N>       coalescing window, µs (default 1000)
-    --max-batch <N>       micro-batch ceiling (default 64)
-    --queue-depth <N>     admission queue bound (default 1024)
-    --threads <N>         batch-engine worker threads (default ROBUSTHD_THREADS)
-    --shard <N>           batch-engine shard size (default 32)";
-
 /// `robusthd fleetbench` — the four-phase fleet serving benchmark.
-pub fn fleetbench(argv: &[String]) -> Result<String, String> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "models",
-            "cohorts",
-            "dim",
-            "features",
-            "classes",
-            "rows",
-            "budget-models",
-            "seed",
-            "clients",
-            "requests",
-            "pipeline",
-            "zipf",
-            "window-us",
-            "max-batch",
-            "queue-depth",
-            "threads",
-            "shard",
-        ],
-        &["help"],
-    )
-    .map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        return Ok(FLEETBENCH_HELP.to_owned());
-    }
-    let defaults = robusthd_serve::FleetBenchOptions::default();
+fn fleetbench(args: &Args) -> Result<String, String> {
     let opts = robusthd_serve::FleetBenchOptions {
-        models: args
-            .get_parsed_or("models", defaults.models)
-            .map_err(|e| e.to_string())?,
-        cohorts: args
-            .get_parsed_or("cohorts", defaults.cohorts)
-            .map_err(|e| e.to_string())?,
-        dim: args
-            .get_parsed_or("dim", defaults.dim)
-            .map_err(|e| e.to_string())?,
-        features: args
-            .get_parsed_or("features", defaults.features)
-            .map_err(|e| e.to_string())?,
-        classes: args
-            .get_parsed_or("classes", defaults.classes)
-            .map_err(|e| e.to_string())?,
-        rows_per_class: args
-            .get_parsed_or("rows", defaults.rows_per_class)
-            .map_err(|e| e.to_string())?,
-        budget_models: args
-            .get_parsed_or("budget-models", defaults.budget_models)
-            .map_err(|e| e.to_string())?,
-        seed: args
-            .get_parsed_or("seed", defaults.seed)
-            .map_err(|e| e.to_string())?,
-        config: serve_config_from(&args)?,
-        batch: batch_config_from(&args)?.unwrap_or_else(BatchConfig::from_env),
-        clients: args
-            .get_parsed_or("clients", defaults.clients)
-            .map_err(|e| e.to_string())?,
-        requests_per_client: args
-            .get_parsed_or("requests", defaults.requests_per_client)
-            .map_err(|e| e.to_string())?,
-        pipeline: args
-            .get_parsed_or("pipeline", defaults.pipeline)
-            .map_err(|e| e.to_string())?,
-        zipf_exponent: args
-            .get_parsed_or("zipf", defaults.zipf_exponent)
-            .map_err(|e| e.to_string())?,
+        models: args.get("models")?,
+        cohorts: args.get("cohorts")?,
+        dim: args.get("dim")?,
+        features: args.get("features")?,
+        classes: args.get("classes")?,
+        rows_per_class: args.get("rows")?,
+        budget_models: args.get("budget-models")?,
+        seed: args.get("seed")?,
+        config: serve_config_from(args)?,
+        batch: batch_config_from(args)?.unwrap_or_else(BatchConfig::from_env),
+        clients: args.get("clients")?,
+        requests_per_client: args.get("requests")?,
+        pipeline: args.get("pipeline")?,
+        zipf_exponent: args.get("zipf")?,
     };
     if opts.models == 0
         || opts.dim == 0
@@ -1809,6 +1535,11 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Runs `robusthd <parts>` through the command table.
+    fn cli(parts: &[&str]) -> Result<String, String> {
+        crate::run(&argv(parts))
+    }
+
     fn temp_dir() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("robusthd-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1820,7 +1551,8 @@ mod tests {
         let dir = temp_dir();
         let train = dir.join("train.csv");
         let test = dir.join("test.csv");
-        let report = generate(&argv(&[
+        let report = cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -1833,18 +1565,19 @@ mod tests {
             "60",
             "--seed",
             "5",
-        ]))
+        ])
         .expect("generate succeeds");
         assert!(report.contains("150 samples"));
 
-        let report = evaluate(&argv(&[
+        let report = cli(&[
+            "evaluate",
             "--train",
             train.to_str().expect("utf8"),
             "--test",
             test.to_str().expect("utf8"),
             "--dim",
             "2048",
-        ]))
+        ])
         .expect("evaluate succeeds");
         assert!(report.contains("accuracy"), "report: {report}");
     }
@@ -1879,7 +1612,7 @@ mod tests {
 
     #[test]
     fn flags_prints_every_registered_flag() {
-        let report = flags(&argv(&[])).expect("flags succeeds");
+        let report = cli(&["flags"]).expect("flags succeeds");
         for flag in robusthd::FlagRegistry::flags() {
             assert!(
                 report.contains(&format!("\"name\":\"{}\"", flag.name)),
@@ -1897,9 +1630,9 @@ mod tests {
 
     #[test]
     fn flags_help_and_option_validation() {
-        let help = flags(&argv(&["--help"])).expect("help");
+        let help = cli(&["flags", "--help"]).expect("help");
         assert!(help.contains("FlagRegistry"));
-        assert!(flags(&argv(&["--bogus", "1"])).is_err());
+        assert!(cli(&["flags", "--bogus", "1"]).is_err());
     }
 
     #[test]
@@ -1907,7 +1640,8 @@ mod tests {
         let dir = temp_dir();
         let train = dir.join("rec_train.csv");
         let test = dir.join("rec_test.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -1918,9 +1652,10 @@ mod tests {
             "150",
             "--test-size",
             "90",
-        ]))
+        ])
         .expect("generate succeeds");
-        let report = recover(&argv(&[
+        let report = cli(&[
+            "recover",
             "--train",
             train.to_str().expect("utf8"),
             "--test",
@@ -1931,7 +1666,7 @@ mod tests {
             "0.08",
             "--passes",
             "6",
-        ]))
+        ])
         .expect("recover succeeds");
         assert!(report.contains("after recovery"), "report: {report}");
     }
@@ -1942,7 +1677,8 @@ mod tests {
         let train_csv = dir.join("ti_train.csv");
         let test_csv = dir.join("ti_test.csv");
         let model_path = dir.join("model.rhd");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -1953,24 +1689,26 @@ mod tests {
             "150",
             "--test-size",
             "60",
-        ]))
+        ])
         .expect("generate succeeds");
-        let report = train(&argv(&[
+        let report = cli(&[
+            "train",
             "--train",
             train_csv.to_str().expect("utf8"),
             "--model",
             model_path.to_str().expect("utf8"),
             "--dim",
             "2048",
-        ]))
+        ])
         .expect("train succeeds");
         assert!(report.contains("saved to"), "report: {report}");
-        let report = infer(&argv(&[
+        let report = cli(&[
+            "infer",
             "--model",
             model_path.to_str().expect("utf8"),
             "--input",
             test_csv.to_str().expect("utf8"),
-        ]))
+        ])
         .expect("infer succeeds");
         assert!(report.contains("accuracy"), "report: {report}");
     }
@@ -1980,7 +1718,8 @@ mod tests {
         let dir = temp_dir();
         let train_csv = dir.join("mon_train.csv");
         let traffic_csv = dir.join("mon_traffic.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -1991,9 +1730,10 @@ mod tests {
             "150",
             "--test-size",
             "90",
-        ]))
+        ])
         .expect("generate succeeds");
-        let report = monitor(&argv(&[
+        let report = cli(&[
+            "monitor",
             "--train",
             train_csv.to_str().expect("utf8"),
             "--traffic",
@@ -2004,7 +1744,7 @@ mod tests {
             "0.1",
             "--steps",
             "4",
-        ]))
+        ])
         .expect("monitor succeeds");
         assert!(report.contains("step 4"), "report: {report}");
         assert!(
@@ -2018,7 +1758,8 @@ mod tests {
         let dir = temp_dir();
         let train_csv = dir.join("soak_train.csv");
         let traffic_csv = dir.join("soak_traffic.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -2029,9 +1770,10 @@ mod tests {
             "150",
             "--test-size",
             "90",
-        ]))
+        ])
         .expect("generate succeeds");
         let base = [
+            "soak",
             "--train",
             train_csv.to_str().expect("utf8"),
             "--traffic",
@@ -2043,13 +1785,13 @@ mod tests {
             "--peak",
             "0.06",
         ];
-        let report = soak(&argv(&base)).expect("soak succeeds");
+        let report = cli(&base).expect("soak succeeds");
         assert!(report.contains("step 3"), "report: {report}");
         assert!(report.contains("rollbacks"), "report: {report}");
 
         let mut json_args = base.to_vec();
         json_args.push("--json");
-        let trace = soak(&argv(&json_args)).expect("soak --json succeeds");
+        let trace = cli(&json_args).expect("soak --json succeeds");
         assert!(trace.starts_with('{'), "trace: {trace}");
         assert!(trace.contains("\"verdict\""), "trace: {trace}");
     }
@@ -2059,7 +1801,8 @@ mod tests {
         let dir = temp_dir();
         let train_csv = dir.join("det_train.csv");
         let traffic_csv = dir.join("det_traffic.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -2070,9 +1813,10 @@ mod tests {
             "150",
             "--test-size",
             "90",
-        ]))
+        ])
         .expect("generate succeeds");
-        let soak_args = argv(&[
+        let soak_args = [
+            "soak",
             "--train",
             train_csv.to_str().expect("utf8"),
             "--traffic",
@@ -2086,9 +1830,9 @@ mod tests {
             "--seed",
             "17",
             "--json",
-        ]);
-        let first = soak(&soak_args).expect("first soak succeeds");
-        let second = soak(&soak_args).expect("second soak succeeds");
+        ];
+        let first = cli(&soak_args).expect("first soak succeeds");
+        let second = cli(&soak_args).expect("second soak succeeds");
         assert_eq!(
             first, second,
             "same-seed soak traces must be byte-identical"
@@ -2100,7 +1844,8 @@ mod tests {
         let dir = temp_dir();
         let train_csv = dir.join("adv_train.csv");
         let traffic_csv = dir.join("adv_traffic.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--dataset",
             "pecan",
             "--train",
@@ -2111,9 +1856,10 @@ mod tests {
             "150",
             "--test-size",
             "60",
-        ]))
+        ])
         .expect("generate succeeds");
-        let json = advsoak(&argv(&[
+        let json = cli(&[
+            "advsoak",
             "--train",
             train_csv.to_str().expect("utf8"),
             "--traffic",
@@ -2123,7 +1869,7 @@ mod tests {
             "--steps",
             "2",
             "--json",
-        ]))
+        ])
         .expect("advsoak succeeds");
         assert!(json.starts_with("{\"corpus_cases\":"), "{json}");
         assert!(json.contains(",\"radius\":64,\"soak\":{"), "{json}");
@@ -2144,27 +1890,34 @@ mod tests {
         ));
         let start = record.find("== FIG 2 ==").expect("record has Fig. 2");
         let len = record[start..].find("\n\n== ").expect("Fig. 2 is not last");
-        let fig2 = paper(&argv(&["--only", "fig2"])).expect("fig2 renders");
+        let fig2 = cli(&["paper", "--only", "fig2"]).expect("fig2 renders");
         assert_eq!(fig2, record[start..start + len]);
     }
 
     #[test]
     fn paper_rejects_unknown_artifact_and_scale() {
-        let err = paper(&argv(&["--only", "table2"])).unwrap_err();
+        let err = cli(&["paper", "--only", "table2"]).unwrap_err();
         assert!(err.contains("unknown artifact `table2`"), "{err}");
         assert!(err.contains("table1, table3"), "{err}");
-        let err = paper(&argv(&["--scale", "huge"])).unwrap_err();
+        let err = cli(&["paper", "--scale", "huge"]).unwrap_err();
         assert!(err.contains("unknown scale `huge`"), "{err}");
-        let err = paper(&argv(&["--dim", "64"])).unwrap_err();
+        let err = cli(&["paper", "--dim", "64"]).unwrap_err();
         assert!(err.contains("unknown option `--dim`"), "{err}");
     }
 
     #[test]
     fn value_option_without_its_value_fails() {
-        let err = paper(&argv(&["--only"])).unwrap_err();
+        let err = cli(&["paper", "--only"]).unwrap_err();
         assert_eq!(err, "`--only` needs a value");
-        let err =
-            generate(&argv(&["--dataset", "--train", "t.csv", "--test", "e.csv"])).unwrap_err();
+        let err = cli(&[
+            "generate",
+            "--dataset",
+            "--train",
+            "t.csv",
+            "--test",
+            "e.csv",
+        ])
+        .unwrap_err();
         assert_eq!(err, "`--dataset` needs a value");
         let err = crate::run(&argv(&["soak", "--json", "--steps"])).unwrap_err();
         assert!(err.contains("`--steps` needs a value"), "{err}");
@@ -2172,7 +1925,8 @@ mod tests {
 
     #[test]
     fn throughput_emits_bit_exact_sweep_json() {
-        let report = throughput(&argv(&[
+        let report = cli(&[
+            "throughput",
             "--dataset",
             "pecan",
             "--queries",
@@ -2183,7 +1937,7 @@ mod tests {
             "1,2",
             "--repeats",
             "1",
-        ]))
+        ])
         .expect("throughput succeeds");
         assert!(report.starts_with('{'), "report: {report}");
         assert!(report.contains("\"bit_exact\": true"), "report: {report}");
@@ -2204,17 +1958,21 @@ mod tests {
 
     #[test]
     fn throughput_rejects_bad_thread_list() {
-        let err = throughput(&argv(&["--threads", "1,zero"])).unwrap_err();
+        let err = cli(&["throughput", "--threads", "1,zero"]).unwrap_err();
         assert!(err.contains("not a positive integer"), "err: {err}");
-        for bad in [["--shard", "0"], ["--repeats", "0"]] {
-            let err = throughput(&argv(&bad)).unwrap_err();
+        for bad in [
+            ["throughput", "--shard", "0"],
+            ["throughput", "--repeats", "0"],
+        ] {
+            let err = cli(&bad).unwrap_err();
             assert!(err.contains("must be positive"), "{bad:?} err: {err}");
         }
     }
 
     #[test]
     fn trainbench_emits_bit_exact_sweep_json() {
-        let report = trainbench(&argv(&[
+        let report = cli(&[
+            "trainbench",
             "--dataset",
             "pecan",
             "--samples",
@@ -2227,7 +1985,7 @@ mod tests {
             "1,2",
             "--repeats",
             "1",
-        ]))
+        ])
         .expect("trainbench succeeds");
         assert!(report.starts_with('{'), "report: {report}");
         assert!(report.contains("\"bit_exact\": true"), "report: {report}");
@@ -2240,17 +1998,21 @@ mod tests {
 
     #[test]
     fn trainbench_rejects_bad_thread_list() {
-        let err = trainbench(&argv(&["--threads", "1,zero"])).unwrap_err();
+        let err = cli(&["trainbench", "--threads", "1,zero"]).unwrap_err();
         assert!(err.contains("not a positive integer"), "err: {err}");
-        for bad in [["--shard", "0"], ["--repeats", "0"]] {
-            let err = trainbench(&argv(&bad)).unwrap_err();
+        for bad in [
+            ["trainbench", "--shard", "0"],
+            ["trainbench", "--repeats", "0"],
+        ] {
+            let err = cli(&bad).unwrap_err();
             assert!(err.contains("must be positive"), "{bad:?} err: {err}");
         }
     }
 
     #[test]
     fn kernelbench_emits_the_keys_the_kernel_gate_reads() {
-        let report = kernelbench(&argv(&[
+        let report = cli(&[
+            "kernelbench",
             "--dataset",
             "pecan",
             "--dim",
@@ -2259,7 +2021,7 @@ mod tests {
             "16",
             "--repeats",
             "1",
-        ]))
+        ])
         .expect("kernelbench succeeds");
         assert!(report.starts_with('{'), "report: {report}");
         for key in [
@@ -2275,7 +2037,8 @@ mod tests {
 
     #[test]
     fn servebench_is_bit_exact_and_emits_the_keys_the_serve_gate_reads() {
-        let report = servebench(&argv(&[
+        let report = cli(&[
+            "servebench",
             "--dataset",
             "pecan",
             "--dim",
@@ -2288,7 +2051,7 @@ mod tests {
             "16",
             "--queries",
             "32",
-        ]))
+        ])
         .expect("servebench succeeds");
         assert!(report.contains("\"bit_exact\":true"), "report: {report}");
         assert!(report.contains("\"p99_ms\""), "report: {report}");
@@ -2317,7 +2080,8 @@ mod tests {
 
     #[test]
     fn fleetbench_is_bit_exact_and_emits_the_keys_the_fleet_gate_reads() {
-        let report = fleetbench(&argv(&[
+        let report = cli(&[
+            "fleetbench",
             "--models",
             "24",
             "--cohorts",
@@ -2336,7 +2100,7 @@ mod tests {
             "4",
             "--requests",
             "8",
-        ]))
+        ])
         .expect("fleetbench succeeds");
         let json = robusthd_serve::json::parse(&report).expect("valid JSON");
         assert_eq!(json.get("bit_exact").and_then(Json::as_bool), Some(true));
@@ -2367,36 +2131,95 @@ mod tests {
 
     #[test]
     fn help_flags_short_circuit() {
-        for cmd in [
-            generate,
-            evaluate,
-            attack,
-            recover,
-            train,
-            infer,
-            monitor,
-            soak,
-            advsoak,
-            paper,
-            throughput,
-            trainbench,
-            kernelbench,
-            servebench,
-            fleetbench,
-        ] {
-            let text = cmd(&argv(&["--help"])).expect("help is ok");
+        for command in COMMANDS {
+            let text = cli(&[command.name, "--help"]).expect("help is ok");
             assert!(text.contains("OPTIONS"));
         }
     }
 
     #[test]
+    fn every_help_names_each_declared_option_once() {
+        for command in COMMANDS {
+            let help = cli(&[command.name, "--help"]).expect("help is ok");
+            let (_, options) = help.split_once("\nOPTIONS:\n").expect("an OPTIONS block");
+            // `--train` must not count the `--train` inside `--train-size`.
+            let names = |line: &str| -> Vec<String> {
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|word| word.strip_prefix("--"))
+                    .map(str::to_owned)
+                    .collect()
+            };
+            let named: Vec<String> = options.lines().flat_map(names).collect();
+            let declared: Vec<&str> = command.opts().map(Opt::name).collect();
+            for name in &declared {
+                let count = named.iter().filter(|n| n == name).count();
+                assert_eq!(count, 1, "`robusthd {}` --{name}:\n{help}", command.name);
+            }
+            if declared.is_empty() {
+                assert_eq!(named, ["help"], "{help}");
+            }
+        }
+    }
+
+    #[test]
+    fn library_backed_defaults_match_the_library() {
+        let default = |command: &str, option: &str| -> &'static str {
+            let command = COMMANDS
+                .iter()
+                .find(|c| c.name == command)
+                .expect("a command");
+            match command.opts().find(|o| o.name() == option) {
+                Some(Opt::Defaulted(_, _, default, _)) => default,
+                kind => panic!("`robusthd {}` --{option}: {kind:?}", command.name),
+            }
+        };
+        let fleet = robusthd_serve::FleetBenchOptions::default();
+        for (option, value) in [
+            ("models", fleet.models),
+            ("cohorts", fleet.cohorts),
+            ("dim", fleet.dim),
+            ("features", fleet.features),
+            ("classes", fleet.classes),
+            ("rows", fleet.rows_per_class),
+            ("budget-models", fleet.budget_models),
+            ("clients", fleet.clients),
+            ("requests", fleet.requests_per_client),
+            ("pipeline", fleet.pipeline),
+        ] {
+            assert_eq!(default("fleetbench", option).parse(), Ok(value), "{option}");
+        }
+        assert_eq!(default("fleetbench", "seed").parse(), Ok(fleet.seed));
+        assert_eq!(
+            default("fleetbench", "zipf").parse(),
+            Ok(fleet.zipf_exponent)
+        );
+        assert_eq!(fleet.config, robusthd::ServeConfig::default());
+        let serve = robusthd::ServeConfig::default();
+        for command in ["serve", "servebench", "fleetbench"] {
+            assert_eq!(default(command, "window-us").parse(), Ok(serve.window_us));
+            assert_eq!(default(command, "max-batch").parse(), Ok(serve.max_batch));
+            assert_eq!(
+                default(command, "queue-depth").parse(),
+                Ok(serve.queue_depth)
+            );
+        }
+        let budget = AttackBudget::new(0);
+        assert_eq!(
+            default("advsoak", "candidates").parse(),
+            Ok(budget.candidates)
+        );
+        assert_eq!(default("advsoak", "seed").parse(), Ok(budget.seed));
+    }
+
+    #[test]
     fn missing_files_are_reported() {
-        let err = evaluate(&argv(&[
+        let err = cli(&[
+            "evaluate",
             "--train",
             "/nonexistent/t.csv",
             "--test",
             "/nonexistent/e.csv",
-        ]))
+        ])
         .unwrap_err();
         assert!(err.contains("cannot open"));
     }
@@ -2406,7 +2229,8 @@ mod tests {
         let dir = temp_dir();
         let train = dir.join("r_train.csv");
         let test = dir.join("r_test.csv");
-        generate(&argv(&[
+        cli(&[
+            "generate",
             "--train",
             train.to_str().expect("utf8"),
             "--test",
@@ -2417,30 +2241,32 @@ mod tests {
             "30",
             "--test-size",
             "9",
-        ]))
+        ])
         .expect("generate succeeds");
-        let err = attack(&argv(&[
+        let err = cli(&[
+            "attack",
             "--train",
             train.to_str().expect("utf8"),
             "--test",
             test.to_str().expect("utf8"),
             "--rate",
             "1.5",
-        ]))
+        ])
         .unwrap_err();
         assert!(err.contains("outside [0, 1]"));
     }
 
     #[test]
     fn unknown_dataset_is_rejected() {
-        let err = generate(&argv(&[
+        let err = cli(&[
+            "generate",
             "--dataset",
             "imagenet",
             "--train",
             "/tmp/x.csv",
             "--test",
             "/tmp/y.csv",
-        ]))
+        ])
         .unwrap_err();
         assert!(err.contains("unknown dataset"));
     }

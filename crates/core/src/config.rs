@@ -225,8 +225,7 @@ pub struct RecoveryConfig {
     pub fault_margin: f64,
     /// When `true` (paper behaviour) substitution is restricted to chunks
     /// that voted against the trusted prediction; when `false` the whole
-    /// class vector is eligible (the `pQ|(1-p)C` form of §4.3, used by the
-    /// chunking ablation).
+    /// class vector is eligible (the `pQ|(1-p)C` form of §4.3).
     pub faulty_chunks_only: bool,
     /// Seed for the stochastic substitution.
     pub seed: u64,
@@ -360,55 +359,19 @@ impl RecoveryConfigBuilder {
 /// Escalating raises the repair aggressiveness — more substitution, finer
 /// chunking, more passes — and, at the deepest rungs, *temporarily* lowers
 /// the trust threshold `T_C` so a heavily damaged class that produces no
-/// high-confidence traffic can still attract repair. The supervisor bounds
-/// how far `T_C` may fall via [`SupervisorConfig::threshold_floor`].
+/// high-confidence traffic can still attract repair, but never below the
+/// supervisor's fixed floor of 0.4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EscalationLevel {
     /// Substitution rate `S` at this level.
     pub substitution_rate: f64,
     /// Chunk count `m` at this level.
     pub chunks: usize,
-    /// Trust threshold `T_C` at this level (never below the configured
-    /// floor).
+    /// Trust threshold `T_C` at this level (never below the floor).
     pub confidence_threshold: f64,
     /// Recovery passes over the degraded batch at this level — the bounded
     /// backoff: deeper levels retry harder, but never unboundedly.
     pub rounds: usize,
-}
-
-impl EscalationLevel {
-    /// Builds the default four-rung ladder from a base recovery
-    /// configuration: the base operating point, then raised `S` and doubled
-    /// `m`, then a half-way `T_C` cut, then `T_C` at `floor`.
-    pub fn default_ladder(base: &RecoveryConfig, floor: f64) -> Vec<EscalationLevel> {
-        let t = base.confidence_threshold.max(floor);
-        vec![
-            EscalationLevel {
-                substitution_rate: base.substitution_rate,
-                chunks: base.chunks,
-                confidence_threshold: t,
-                rounds: 1,
-            },
-            EscalationLevel {
-                substitution_rate: (base.substitution_rate * 1.5).min(1.0),
-                chunks: base.chunks * 2,
-                confidence_threshold: t,
-                rounds: 2,
-            },
-            EscalationLevel {
-                substitution_rate: (base.substitution_rate * 2.0).min(1.0),
-                chunks: base.chunks * 2,
-                confidence_threshold: floor + (t - floor) / 2.0,
-                rounds: 3,
-            },
-            EscalationLevel {
-                substitution_rate: (base.substitution_rate * 2.0).min(1.0),
-                chunks: base.chunks * 2,
-                confidence_threshold: floor,
-                rounds: 4,
-            },
-        ]
-    }
 }
 
 /// Policy of the closed-loop resilience supervisor
@@ -432,33 +395,17 @@ pub struct SupervisorConfig {
     pub window: usize,
     /// Monitor alarm sensitivity (see [`crate::diagnostics::HealthMonitor`]).
     pub sensitivity: f64,
-    /// Escalation ladder, mildest first. Empty means: derive
-    /// [`EscalationLevel::default_ladder`] from the base recovery config at
-    /// supervisor construction.
-    pub ladder: Vec<EscalationLevel>,
-    /// Hard floor under every temporary `T_C` cut in the ladder.
-    pub threshold_floor: f64,
     /// Healthy batches between checkpoints.
     pub checkpoint_interval: usize,
     /// Consecutive failed recovery rounds before rolling back to the last
     /// healthy checkpoint.
     pub rollback_after: usize,
-    /// Consecutive healthy batches required before de-escalating one level
-    /// (hysteresis keeps the ladder from flapping at the alarm boundary).
-    pub hysteresis: usize,
     /// Per-class chunk-fault rate above which the class hypervector is
     /// quarantined (its predictions reported unreliable).
     pub quarantine_fault_ceiling: f64,
     /// Minimum chunks inspected for a class before its quarantine state may
     /// change — below this, the fault-rate estimate is too noisy to act on.
     pub quarantine_min_chunks: usize,
-    /// Minimum fraction of canary queries whose current prediction must
-    /// match the answer recorded at calibration for the model to count as
-    /// healthy. Margin statistics alone cannot tell a healthy model from
-    /// one whose classes were rewritten into a confident label permutation
-    /// (for example by a repair loop feeding on misrouted traffic); golden
-    /// answers can.
-    pub canary_agreement_floor: f64,
 }
 
 impl SupervisorConfig {
@@ -479,14 +426,10 @@ impl Default for SupervisorConfig {
 pub struct SupervisorConfigBuilder {
     window: usize,
     sensitivity: f64,
-    ladder: Vec<EscalationLevel>,
-    threshold_floor: f64,
     checkpoint_interval: usize,
     rollback_after: usize,
-    hysteresis: usize,
     quarantine_fault_ceiling: f64,
     quarantine_min_chunks: usize,
-    canary_agreement_floor: f64,
 }
 
 impl SupervisorConfigBuilder {
@@ -494,14 +437,10 @@ impl SupervisorConfigBuilder {
         Self {
             window: 64,
             sensitivity: 0.7,
-            ladder: Vec::new(),
-            threshold_floor: 0.4,
             checkpoint_interval: 1,
             rollback_after: 3,
-            hysteresis: 2,
             quarantine_fault_ceiling: 0.5,
             quarantine_min_chunks: 40,
-            canary_agreement_floor: 0.75,
         }
     }
 
@@ -517,18 +456,6 @@ impl SupervisorConfigBuilder {
         self
     }
 
-    /// Sets an explicit escalation ladder (mildest level first).
-    pub fn ladder(mut self, ladder: Vec<EscalationLevel>) -> Self {
-        self.ladder = ladder;
-        self
-    }
-
-    /// Sets the `T_C` floor.
-    pub fn threshold_floor(mut self, threshold_floor: f64) -> Self {
-        self.threshold_floor = threshold_floor;
-        self
-    }
-
     /// Sets the healthy-batch checkpoint interval.
     pub fn checkpoint_interval(mut self, checkpoint_interval: usize) -> Self {
         self.checkpoint_interval = checkpoint_interval;
@@ -538,12 +465,6 @@ impl SupervisorConfigBuilder {
     /// Sets the failed-round count that triggers rollback.
     pub fn rollback_after(mut self, rollback_after: usize) -> Self {
         self.rollback_after = rollback_after;
-        self
-    }
-
-    /// Sets the de-escalation hysteresis (in healthy batches).
-    pub fn hysteresis(mut self, hysteresis: usize) -> Self {
-        self.hysteresis = hysteresis;
         self
     }
 
@@ -559,18 +480,12 @@ impl SupervisorConfigBuilder {
         self
     }
 
-    /// Sets the canary golden-answer agreement floor.
-    pub fn canary_agreement_floor(mut self, floor: f64) -> Self {
-        self.canary_agreement_floor = floor;
-        self
-    }
-
     /// Validates and builds the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any count is zero, a rate or threshold
-    /// lies outside `[0, 1]`, or a ladder level's `T_C` undercuts the floor.
+    /// Returns [`ConfigError`] if any count is zero or a rate lies outside
+    /// its range.
     pub fn build(self) -> Result<SupervisorConfig, ConfigError> {
         if self.window == 0 {
             return Err(ConfigError::new("window must be positive"));
@@ -578,17 +493,11 @@ impl SupervisorConfigBuilder {
         if !(self.sensitivity > 0.0 && self.sensitivity <= 1.0) {
             return Err(ConfigError::new("sensitivity must lie in (0, 1]"));
         }
-        if !(0.0..=1.0).contains(&self.threshold_floor) {
-            return Err(ConfigError::new("threshold_floor must lie in [0, 1]"));
-        }
         if self.checkpoint_interval == 0 {
             return Err(ConfigError::new("checkpoint_interval must be positive"));
         }
         if self.rollback_after == 0 {
             return Err(ConfigError::new("rollback_after must be positive"));
-        }
-        if self.hysteresis == 0 {
-            return Err(ConfigError::new("hysteresis must be positive"));
         }
         if !(self.quarantine_fault_ceiling > 0.0 && self.quarantine_fault_ceiling <= 1.0) {
             return Err(ConfigError::new(
@@ -598,44 +507,13 @@ impl SupervisorConfigBuilder {
         if self.quarantine_min_chunks == 0 {
             return Err(ConfigError::new("quarantine_min_chunks must be positive"));
         }
-        if !(self.canary_agreement_floor > 0.0 && self.canary_agreement_floor <= 1.0) {
-            return Err(ConfigError::new(
-                "canary_agreement_floor must lie in (0, 1]",
-            ));
-        }
-        for (i, level) in self.ladder.iter().enumerate() {
-            if level.chunks == 0 {
-                return Err(ConfigError::new(format!(
-                    "ladder level {i}: chunks must be positive"
-                )));
-            }
-            if level.rounds == 0 {
-                return Err(ConfigError::new(format!(
-                    "ladder level {i}: rounds must be positive"
-                )));
-            }
-            if !(0.0..=1.0).contains(&level.substitution_rate) {
-                return Err(ConfigError::new(format!(
-                    "ladder level {i}: substitution_rate must lie in [0, 1]"
-                )));
-            }
-            if !(self.threshold_floor..=1.0).contains(&level.confidence_threshold) {
-                return Err(ConfigError::new(format!(
-                    "ladder level {i}: confidence_threshold must lie in [threshold_floor, 1]"
-                )));
-            }
-        }
         Ok(SupervisorConfig {
             window: self.window,
             sensitivity: self.sensitivity,
-            ladder: self.ladder,
-            threshold_floor: self.threshold_floor,
             checkpoint_interval: self.checkpoint_interval,
             rollback_after: self.rollback_after,
-            hysteresis: self.hysteresis,
             quarantine_fault_ceiling: self.quarantine_fault_ceiling,
             quarantine_min_chunks: self.quarantine_min_chunks,
-            canary_agreement_floor: self.canary_agreement_floor,
         })
     }
 }
@@ -1191,10 +1069,6 @@ mod tests {
     fn supervisor_defaults_are_valid() {
         let c = SupervisorConfig::default();
         assert!(c.window > 0);
-        assert!(
-            c.ladder.is_empty(),
-            "default ladder derives at construction"
-        );
     }
 
     #[test]
@@ -1208,7 +1082,6 @@ mod tests {
             .rollback_after(0)
             .build()
             .is_err());
-        assert!(SupervisorConfig::builder().hysteresis(0).build().is_err());
         assert!(SupervisorConfig::builder()
             .quarantine_fault_ceiling(1.5)
             .build()
@@ -1216,21 +1089,9 @@ mod tests {
     }
 
     #[test]
-    fn ladder_threshold_below_floor_rejected() {
-        let mut ladder = EscalationLevel::default_ladder(&RecoveryConfig::default(), 0.4);
-        ladder[3].confidence_threshold = 0.2;
-        let err = SupervisorConfig::builder()
-            .threshold_floor(0.4)
-            .ladder(ladder)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("threshold_floor"));
-    }
-
-    #[test]
     fn default_ladder_escalates_monotonically() {
         let base = RecoveryConfig::default();
-        let ladder = EscalationLevel::default_ladder(&base, 0.4);
+        let ladder = EscalationLevel::default_ladder(&base);
         assert!(ladder.len() >= 2);
         for pair in ladder.windows(2) {
             assert!(pair[1].substitution_rate >= pair[0].substitution_rate);
@@ -1239,11 +1100,6 @@ mod tests {
             assert!(pair[1].rounds >= pair[0].rounds);
         }
         assert!(ladder.last().expect("non-empty").confidence_threshold >= 0.4 - 1e-12);
-        let config = SupervisorConfig::builder()
-            .ladder(ladder)
-            .build()
-            .expect("default ladder passes validation");
-        assert_eq!(config.ladder.len(), 4);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use config::{
 };
 pub use encoding::{Encoder, RandomProjectionEncoder, RecordEncoder};
 pub use fleet::{FleetAnswer, FleetError, FleetStats, LogHdModel, ModelRegistry};
-pub use metrics::{accuracy, quality_loss, ConfusionMatrix};
+pub use metrics::{accuracy, quality_loss};
 pub use model::{IntModel, TrainedModel};
 pub use pipeline::HdcClassifier;
 pub use recovery::{RecoveryEngine, RecoveryStats};

@@ -119,226 +119,3 @@ mod tests {
         assert!(quality_loss(clean, faulty) < 0.05);
     }
 }
-
-/// A `k × k` confusion matrix: `counts[truth][predicted]`.
-///
-/// # Example
-///
-/// ```
-/// use robusthd::metrics::ConfusionMatrix;
-///
-/// let mut matrix = ConfusionMatrix::new(2);
-/// matrix.record(0, 0);
-/// matrix.record(0, 1);
-/// matrix.record(1, 1);
-/// assert_eq!(matrix.count(0, 1), 1);
-/// assert!((matrix.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix over `classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is zero.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "need at least one class");
-        Self {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Builds the matrix by evaluating `model` over labelled queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or a label is out of range.
-    pub fn evaluate(model: &TrainedModel, queries: &[BinaryHypervector], labels: &[usize]) -> Self {
-        assert_eq!(queries.len(), labels.len(), "queries and labels must align");
-        let mut matrix = Self::new(model.num_classes());
-        for (query, &label) in queries.iter().zip(labels) {
-            matrix.record(label, model.predict(query));
-        }
-        matrix
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one `(truth, predicted)` observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either label is out of range.
-    pub fn record(&mut self, truth: usize, predicted: usize) {
-        assert!(truth < self.classes, "truth label {truth} out of range");
-        assert!(
-            predicted < self.classes,
-            "predicted label {predicted} out of range"
-        );
-        self.counts[truth * self.classes + predicted] += 1; // audit:allow(panic): labels asserted in range above
-    }
-
-    /// Observations with the given truth and prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either label is out of range.
-    pub fn count(&self, truth: usize, predicted: usize) -> u64 {
-        assert!(
-            truth < self.classes && predicted < self.classes,
-            "label out of range"
-        );
-        self.counts[truth * self.classes + predicted] // audit:allow(panic): labels asserted in range above
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (0 when empty).
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        correct as f64 / total as f64
-    }
-
-    /// Recall of one class: correct / actual (0 when the class never
-    /// occurred).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class is out of range.
-    pub fn recall(&self, class: usize) -> f64 {
-        assert!(class < self.classes, "class out of range");
-        let actual: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if actual == 0 {
-            0.0
-        } else {
-            self.count(class, class) as f64 / actual as f64
-        }
-    }
-
-    /// Precision of one class: correct / predicted (0 when the class was
-    /// never predicted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class is out of range.
-    pub fn precision(&self, class: usize) -> f64 {
-        assert!(class < self.classes, "class out of range");
-        let predicted: u64 = (0..self.classes).map(|t| self.count(t, class)).sum();
-        if predicted == 0 {
-            0.0
-        } else {
-            self.count(class, class) as f64 / predicted as f64
-        }
-    }
-
-    /// F1 score of one class (harmonic mean of precision and recall).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class is out of range.
-    pub fn f1(&self, class: usize) -> f64 {
-        let p = self.precision(class);
-        let r = self.recall(class);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// Unweighted mean F1 over all classes.
-    pub fn macro_f1(&self) -> f64 {
-        (0..self.classes).map(|c| self.f1(c)).sum::<f64>() / self.classes as f64
-    }
-}
-
-#[cfg(test)]
-mod confusion_tests {
-    use super::*;
-
-    fn toy_matrix() -> ConfusionMatrix {
-        // truth 0: 8 correct, 2 predicted as 1.
-        // truth 1: 5 correct, 5 predicted as 0.
-        let mut m = ConfusionMatrix::new(2);
-        for _ in 0..8 {
-            m.record(0, 0);
-        }
-        for _ in 0..2 {
-            m.record(0, 1);
-        }
-        for _ in 0..5 {
-            m.record(1, 1);
-        }
-        for _ in 0..5 {
-            m.record(1, 0);
-        }
-        m
-    }
-
-    #[test]
-    fn accuracy_and_totals() {
-        let m = toy_matrix();
-        assert_eq!(m.total(), 20);
-        assert!((m.accuracy() - 13.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recall_precision_f1() {
-        let m = toy_matrix();
-        assert!((m.recall(0) - 0.8).abs() < 1e-12);
-        assert!((m.recall(1) - 0.5).abs() < 1e-12);
-        assert!((m.precision(0) - 8.0 / 13.0).abs() < 1e-12);
-        assert!((m.precision(1) - 5.0 / 7.0).abs() < 1e-12);
-        let f1_0 = 2.0 * (8.0 / 13.0) * 0.8 / (8.0 / 13.0 + 0.8);
-        assert!((m.f1(0) - f1_0).abs() < 1e-12);
-        assert!(m.macro_f1() > 0.0 && m.macro_f1() < 1.0);
-    }
-
-    #[test]
-    fn degenerate_classes_score_zero() {
-        let m = ConfusionMatrix::new(3); // empty
-        assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.recall(2), 0.0);
-        assert_eq!(m.precision(2), 0.0);
-        assert_eq!(m.f1(2), 0.0);
-    }
-
-    #[test]
-    fn evaluate_agrees_with_accuracy_metric() {
-        use crate::config::HdcConfig;
-        use hypervector::random::HypervectorSampler;
-        let mut sampler = HypervectorSampler::seed_from(12);
-        let protos = [sampler.binary(2048), sampler.binary(2048)];
-        let queries: Vec<_> = (0..40)
-            .map(|i| sampler.flip_noise(&protos[i % 2], 0.2))
-            .collect();
-        let labels: Vec<_> = (0..40).map(|i| i % 2).collect();
-        let cfg = HdcConfig::builder().dimension(2048).build().expect("valid");
-        let model = TrainedModel::train(&queries, &labels, 2, &cfg);
-        let matrix = ConfusionMatrix::evaluate(&model, &queries, &labels);
-        assert!((matrix.accuracy() - accuracy(&model, &queries, &labels)).abs() < 1e-12);
-        assert_eq!(matrix.total(), 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_record_panics() {
-        ConfusionMatrix::new(2).record(2, 0);
-    }
-}

@@ -21,7 +21,7 @@
 //!    ([`EscalationLevel`]). Each failed round climbs one rung: higher
 //!    substitution rate `S`, finer chunking `m`, more passes (bounded
 //!    backoff), and finally a *temporary* trust-threshold cut down to a
-//!    configured floor — the only way a class so damaged that it produces
+//!    fixed floor — the only way a class so damaged that it produces
 //!    no high-confidence traffic can attract repair again. De-escalation
 //!    needs a hysteresis of consecutive healthy batches, so the ladder does
 //!    not flap at the alarm boundary.
@@ -50,6 +50,55 @@ use hypervector::BinaryHypervector;
 use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// Hard floor under every temporary `T_C` cut in the escalation ladder.
+const THRESHOLD_FLOOR: f64 = 0.4;
+
+/// Consecutive healthy batches required before de-escalating one level, so
+/// the ladder does not flap at the alarm boundary.
+const HYSTERESIS: usize = 2;
+
+/// Minimum fraction of canary queries whose current prediction must match
+/// the answer recorded at calibration for the model to count as healthy.
+/// Margin statistics alone cannot tell a healthy model from one whose
+/// classes were rewritten into a confident label permutation (for example
+/// by a repair loop feeding on misrouted traffic); golden answers can.
+const CANARY_AGREEMENT_FLOOR: f64 = 0.75;
+
+impl EscalationLevel {
+    /// Builds the supervisor's four-rung ladder from a base recovery
+    /// configuration: the base operating point, then raised `S` and doubled
+    /// `m`, then a half-way `T_C` cut, then `T_C` at the floor (0.4).
+    pub fn default_ladder(base: &RecoveryConfig) -> Vec<EscalationLevel> {
+        let t = base.confidence_threshold.max(THRESHOLD_FLOOR);
+        vec![
+            EscalationLevel {
+                substitution_rate: base.substitution_rate,
+                chunks: base.chunks,
+                confidence_threshold: t,
+                rounds: 1,
+            },
+            EscalationLevel {
+                substitution_rate: (base.substitution_rate * 1.5).min(1.0),
+                chunks: base.chunks * 2,
+                confidence_threshold: t,
+                rounds: 2,
+            },
+            EscalationLevel {
+                substitution_rate: (base.substitution_rate * 2.0).min(1.0),
+                chunks: base.chunks * 2,
+                confidence_threshold: THRESHOLD_FLOOR + (t - THRESHOLD_FLOOR) / 2.0,
+                rounds: 3,
+            },
+            EscalationLevel {
+                substitution_rate: (base.substitution_rate * 2.0).min(1.0),
+                chunks: base.chunks * 2,
+                confidence_threshold: THRESHOLD_FLOOR,
+                rounds: 4,
+            },
+        ]
+    }
+}
 
 /// What the supervisor did with one batch of queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,32 +189,15 @@ impl ResilienceSupervisor {
     /// Creates a supervisor for a deployment described by `hdc` (the model's
     /// training configuration) serving `features`-dimensional inputs.
     ///
-    /// `base` is the level-0 recovery operating point; when
-    /// `policy.ladder` is empty, [`EscalationLevel::default_ladder`] is
-    /// derived from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a supplied ladder level's trust threshold undercuts
-    /// `policy.threshold_floor` (the builder already rejects this, but a
-    /// hand-built config could bypass it).
+    /// `base` is the level-0 recovery operating point; the escalation
+    /// ladder is [`EscalationLevel::default_ladder`] derived from it.
     pub fn new(
         hdc: &HdcConfig,
         base: RecoveryConfig,
         policy: SupervisorConfig,
         features: usize,
     ) -> Self {
-        let ladder = if policy.ladder.is_empty() {
-            EscalationLevel::default_ladder(&base, policy.threshold_floor)
-        } else {
-            policy.ladder.clone()
-        };
-        assert!(
-            ladder
-                .iter()
-                .all(|l| l.confidence_threshold >= policy.threshold_floor - 1e-12),
-            "ladder undercuts the threshold floor"
-        );
+        let ladder = EscalationLevel::default_ladder(&base);
         let monitor = HealthMonitor::new(policy.window, policy.sensitivity);
         let engine = RecoveryEngine::new(base, hdc.softmax_beta);
         Self {
@@ -503,7 +535,7 @@ impl ResilienceSupervisor {
     fn handle_healthy(&mut self, model: &TrainedModel, report: &mut BatchReport) {
         self.failed_rounds = 0;
         self.healthy_streak += 1;
-        if self.level > 0 && self.healthy_streak >= self.policy.hysteresis {
+        if self.level > 0 && self.healthy_streak >= HYSTERESIS {
             self.level -= 1;
             self.healthy_streak = 0;
             report.deescalated = true;
@@ -734,7 +766,7 @@ impl ResilienceSupervisor {
             .filter(|(&(predicted, _), &golden)| predicted == golden)
             .count();
         let agreement = agreeing as f64 / self.canary_answers.len().max(1) as f64;
-        if agreement < self.policy.canary_agreement_floor {
+        if agreement < CANARY_AGREEMENT_FLOOR {
             (HealthVerdict::Degraded, true)
         } else {
             (HealthVerdict::Healthy, false)
@@ -806,7 +838,7 @@ fn recovery_config_at(engine: &RecoveryEngine, rung: EscalationLevel) -> Recover
         .faulty_chunks_only(base.faulty_chunks_only)
         .seed(base.seed)
         .build()
-        .expect("ladder levels are validated at construction") // audit:allow(panic): ladder levels are validated at construction
+        .expect("the ladder derives from a validated base config") // audit:allow(panic): every rung of the default ladder of a validated base config is valid
 }
 
 impl fmt::Debug for ResilienceSupervisor {
